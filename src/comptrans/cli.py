@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success or check pass, 1 check fail or witness found, 2 usage
-or input error, 3 resource cap exceeded. Output for identical inputs and
+or input error, 3 resource cap exceeded (including a tree nested deeper than
+the interpreter's recursion limit). Output for identical inputs and
 flags is byte-identical across runs.
 """
 
@@ -18,8 +19,8 @@ from .completeness import (
     witness_report,
 )
 from .errors import ComptransError, ResourceLimitError
-from .loader import LoadedPair, load_pair, parse_file
-from .model import CompositionalGrammar, SemanticComponent
+from .loader import FileContents, LoadedPair, load_pair, parse_file, pick
+from .model import SemanticComponent
 from .parsing import morsynan
 from .pipeline import translate
 from .render import (
@@ -32,13 +33,7 @@ from .render import (
     trees_to_text,
     FORMAT_VERSION,
 )
-from .trees import (
-    enumerate_sem_trees,
-    enumerate_syn_trees,
-    format_tree,
-    random_sem_tree,
-    tree_to_json,
-)
+from .trees import enumerate_trees, format_tree, random_sem_tree, tree_to_json
 
 
 def _positive_int(text: str) -> int:
@@ -52,127 +47,86 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _parse_into(env: dict[str, SemanticComponent], path: str) -> FileContents:
+    """Parse one grammar file; its semantic components join ``env`` for later files."""
+    contents = parse_file(_read(path), path, env)
+    env.update((sc.name, sc) for sc in contents.semantics)
+    return contents
+
+
 def _load_env(paths) -> dict[str, SemanticComponent]:
     env: dict[str, SemanticComponent] = {}
     for p in paths or []:
-        for sc in parse_file(_read(p), p, env).semantics:
-            env[sc.name] = sc
+        _parse_into(env, p)
     return env
 
 
-def _pick_grammar(contents, name: str | None, path: str) -> CompositionalGrammar:
-    if name is not None:
-        for g in contents.grammars:
-            if g.name == name:
-                return g
-        raise ComptransError(f"{path}: no grammar named '{name}'")
-    if len(contents.grammars) != 1:
-        raise ComptransError(
-            f"{path}: file declares {len(contents.grammars)} grammars, pick one with --grammar"
-        )
-    return contents.grammars[0]
-
-
-def _pick_semantics(contents, name: str | None, path: str) -> SemanticComponent:
-    if name is not None:
-        for sc in contents.semantics:
-            if sc.name == name:
-                return sc
-        raise ComptransError(f"{path}: no semantic component named '{name}'")
-    if len(contents.semantics) != 1:
-        raise ComptransError(
-            f"{path}: file declares {len(contents.semantics)} semantic components, "
-            "pick one with --component"
-        )
-    return contents.semantics[0]
-
-
-def _emit(text: str) -> None:
-    if text:
-        print(text)
+def _pair_envelope(command: str, pair, **payload) -> dict:
+    return envelope(command, source=pair.source.name, target=pair.target.name, **payload)
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# Each returns its exit code, its JSON document and its text rendering.
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     files = []
     # semantic components accumulate left to right, so a shared interlingua
     # file can precede the grammar files that use it
     env = _load_env(args.semantics)
     for path in args.paths:
-        if path.endswith(".cgp"):
-            loaded = load_pair(path)
-            entry = {
-                "path": path,
-                "semantics": [loaded.pair.source.semantics.name],
-                "grammars": sorted({loaded.pair.source.name, loaded.pair.target.name}),
-                "pair": True,
-            }
+        is_pair = path.endswith(".cgp")
+        if is_pair:
+            pair = load_pair(path).pair
+            semantics, grammars = [pair.source.semantics], sorted({pair.source.name, pair.target.name})
         else:
-            contents = parse_file(_read(path), path, env)
-            for sc in contents.semantics:
-                env[sc.name] = sc
-            entry = {
-                "path": path,
-                "semantics": [sc.name for sc in contents.semantics],
-                "grammars": [g.name for g in contents.grammars],
-                "pair": False,
-            }
-        files.append(entry)
-    if args.format == "json":
-        _emit(dump_json(envelope("validate", files=files)))
-    else:
-        for entry in files:
-            what = []
-            if entry["semantics"]:
-                what.append("semantics " + ", ".join(entry["semantics"]))
-            if entry["grammars"]:
-                kind = "pair" if entry["pair"] else "grammars"
-                what.append(f"{kind} " + ", ".join(entry["grammars"]))
-            _emit(f"{entry['path']}: OK ({'; '.join(what)})")
-    return 0
+            contents = _parse_into(env, path)
+            semantics, grammars = contents.semantics, [g.name for g in contents.grammars]
+        files.append(
+            {"path": path, "semantics": [sc.name for sc in semantics], "grammars": grammars, "pair": is_pair}
+        )
+    lines = []
+    for entry in files:
+        what = []
+        if entry["semantics"]:
+            what.append("semantics " + ", ".join(entry["semantics"]))
+        if entry["grammars"]:
+            kind = "pair" if entry["pair"] else "grammars"
+            what.append(f"{kind} " + ", ".join(entry["grammars"]))
+        lines.append(f"{entry['path']}: OK ({'; '.join(what)})")
+    return 0, envelope("validate", files=files), "\n".join(lines)
 
 
-def _cmd_parse(args) -> int:
-    env = _load_env(args.semantics)
-    contents = parse_file(_read(args.path), args.path, env)
-    grammar = _pick_grammar(contents, args.grammar, args.path)
+def _cmd_parse(args):
+    contents = _parse_into(_load_env(args.semantics), args.path)
+    grammar = pick(contents.grammars, args.grammar, "grammar", args.path, "pick one with --grammar")
     tokens = args.utterance.split()
     trees = morsynan(grammar, tokens, category=args.cat, max_trees=args.cap)
-    if args.format == "json":
-        doc = envelope(
-            "parse",
-            grammar=grammar.name,
-            utterance=tokens,
-            category=args.cat,
-            trees=[tree_to_json(t) for t in trees],
-        )
-        _emit(dump_json(doc))
-    else:
-        _emit(trees_to_text(trees))
-    return 0
+    doc = envelope(
+        "parse",
+        grammar=grammar.name,
+        utterance=tokens,
+        category=args.cat,
+        trees=[tree_to_json(t) for t in trees],
+    )
+    return 0, doc, trees_to_text(trees)
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args):
     loaded = load_pair(args.path)
     tokens = args.utterance.split()
     trace = translate(loaded.pair, tokens, max_trees=args.cap)
-    if args.format == "json":
-        doc = envelope(
-            "translate",
-            source=loaded.pair.source.name,
-            target=loaded.pair.target.name,
-            utterance=tokens,
-            translations=[list(u) for u in trace.target_utterances],
-            trace=trace_to_json(trace) if args.trace else None,
-        )
-        _emit(dump_json(doc))
-    elif args.trace:
-        _emit(trace_to_text(trace))
-    else:
-        _emit("\n".join(" ".join(u) for u in trace.target_utterances))
-    return 0
+    doc = _pair_envelope(
+        "translate",
+        loaded.pair,
+        utterance=tokens,
+        translations=[list(u) for u in trace.target_utterances],
+        trace=trace_to_json(trace) if args.trace else None,
+    )
+    if args.trace:
+        return 0, doc, trace_to_text(trace)
+    return 0, doc, "\n".join(" ".join(u) for u in trace.target_utterances)
 
 
 def _need_correspondence(loaded: LoadedPair, condition: str):
@@ -183,7 +137,7 @@ def _need_correspondence(loaded: LoadedPair, condition: str):
     return loaded.correspondence
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     loaded = load_pair(args.path)
     condition = args.condition
     if condition is None:
@@ -198,69 +152,43 @@ def _cmd_check(args) -> int:
         report = validate_labels(
             loaded.pair, _need_correspondence(loaded, condition), max_depth=args.depth
         )
-    if args.format == "json":
-        doc = envelope(
-            "check",
-            source=loaded.pair.source.name,
-            target=loaded.pair.target.name,
-            report=report_to_json(report),
-        )
-        _emit(dump_json(doc))
-    else:
-        heading = (
-            f"check {condition} for {loaded.pair.source.name} -> {loaded.pair.target.name}"
-        )
-        _emit(report_to_text(report, heading))
-    return 0 if report.passed else 1
+    heading = f"check {condition} for {loaded.pair.source.name} -> {loaded.pair.target.name}"
+    doc = _pair_envelope("check", loaded.pair, report=report_to_json(report))
+    return (0 if report.passed else 1), doc, report_to_text(report, heading)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     loaded = load_pair(args.path)
     report = witness_report(loaded.pair, args.depth)
-    if args.format == "json":
-        doc = envelope(
-            "witness",
-            source=loaded.pair.source.name,
-            target=loaded.pair.target.name,
-            depth=args.depth,
-            report=report_to_json(report),
-        )
-        _emit(dump_json(doc))
-    else:
-        _emit("none" if report.witness is None else format_tree(report.witness))
-    return 0 if report.witness is None else 1
+    doc = _pair_envelope("witness", loaded.pair, depth=args.depth, report=report_to_json(report))
+    if report.witness is None:
+        return 0, doc, "none"
+    return 1, doc, format_tree(report.witness)
 
 
-def _cmd_enumerate(args) -> int:
-    env = _load_env(args.semantics)
-    contents = parse_file(_read(args.path), args.path, env)
+def _cmd_enumerate(args):
+    contents = _parse_into(_load_env(args.semantics), args.path)
     if args.kind == "syn":
-        grammar = _pick_grammar(contents, args.grammar, args.path)
+        component = pick(contents.grammars, args.grammar, "grammar", args.path, "pick one with --grammar")
         if args.sample is not None:
             raise ComptransError("--sample draws semantic trees; use --kind sem")
-        trees = enumerate_syn_trees(grammar, args.cat, args.depth)
     else:
-        component = _pick_semantics(contents, args.component, args.path)
-        if args.sample is not None:
-            trees = []
-            for i in range(args.sample):
-                t = random_sem_tree(component, args.cat, args.depth, args.seed + i)
-                if t is not None:
-                    trees.append(t)
-        else:
-            trees = enumerate_sem_trees(component, args.cat, args.depth)
-    if args.format == "json":
-        doc = envelope(
-            "enumerate",
-            kind=args.kind,
-            category=args.cat,
-            depth=args.depth,
-            trees=[tree_to_json(t) for t in trees],
+        component = pick(
+            contents.semantics, args.component, "semantic component", args.path, "pick one with --component"
         )
-        _emit(dump_json(doc))
+    if args.sample is not None:
+        trees = [random_sem_tree(component, args.cat, args.depth, args.seed + i) for i in range(args.sample)]
+        trees = [t for t in trees if t is not None]
     else:
-        _emit(trees_to_text(trees))
-    return 0
+        trees = enumerate_trees(component, args.cat, args.depth)
+    doc = envelope(
+        "enumerate",
+        kind=args.kind,
+        category=args.cat,
+        depth=args.depth,
+        trees=[tree_to_json(t) for t in trees],
+    )
+    return 0, doc, trees_to_text(trees)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -281,34 +209,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="load grammar or pair files and report their contents")
+    def grammar_file_options(p, metavar: str) -> None:
+        p.add_argument("path", metavar=metavar)
+        p.add_argument("--grammar", help="grammar name if the file declares several")
+        p.add_argument("--semantics", action="append", metavar="FILE", help="extra semantics file")
+
+    p = command("validate", _cmd_validate, "load grammar or pair files and report their contents")
     p.add_argument("paths", nargs="+", metavar="FILE")
     p.add_argument("--semantics", action="append", metavar="FILE", help="extra semantics file")
-    add_format(p)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("parse", help="all derivation trees of an utterance")
-    p.add_argument("path", metavar="GRAMMAR.cg")
+    p = command("parse", _cmd_parse, "all derivation trees of an utterance")
+    grammar_file_options(p, "GRAMMAR.cg")
     p.add_argument("--utterance", required=True, help="tokens, whitespace-separated")
     p.add_argument("--cat", help="restrict to one result category")
-    p.add_argument("--grammar", help="grammar name if the file declares several")
-    p.add_argument("--semantics", action="append", metavar="FILE", help="extra semantics file")
     p.add_argument("--cap", type=_positive_int, help="ambiguity cap (default 10000)")
-    add_format(p)
-    p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("translate", help="translate an utterance through a grammar pair")
+    p = command("translate", _cmd_translate, "translate an utterance through a grammar pair")
     p.add_argument("path", metavar="PAIR.cgp")
     p.add_argument("--utterance", required=True)
     p.add_argument("--trace", action="store_true", help="show every intermediate stage")
     p.add_argument("--cap", type=_positive_int, help="ambiguity cap (default 10000)")
-    add_format(p)
-    p.set_defaults(func=_cmd_translate)
 
-    p = sub.add_parser("check", help="static completeness conditions for a grammar pair")
+    p = command("check", _cmd_check, "static completeness conditions for a grammar pair")
     p.add_argument("path", metavar="PAIR.cgp")
     p.add_argument(
         "--condition",
@@ -316,27 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="default: nn when the pair declares correspondences, else n1",
     )
     p.add_argument("--depth", type=_positive_int, default=6, help="depth bound for labels")
-    add_format(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("witness", help="search for a semantic tree with no translation")
+    p = command("witness", _cmd_witness, "search for a semantic tree with no translation")
     p.add_argument("path", metavar="PAIR.cgp")
     p.add_argument("--depth", type=_positive_int, default=6)
-    add_format(p)
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("enumerate", help="enumerate or sample derivation trees")
-    p.add_argument("path", metavar="FILE.cg")
+    p = command("enumerate", _cmd_enumerate, "enumerate or sample derivation trees")
+    grammar_file_options(p, "FILE.cg")
     p.add_argument("--cat", required=True, help="category to enumerate")
     p.add_argument("--depth", type=_positive_int, default=4)
     p.add_argument("--kind", choices=["syn", "sem"], default="syn")
-    p.add_argument("--grammar", help="grammar name if the file declares several")
     p.add_argument("--component", help="semantic component name if the file declares several")
-    p.add_argument("--semantics", action="append", metavar="FILE", help="extra semantics file")
     p.add_argument("--sample", type=_positive_int, help="draw N random semantic trees")
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
 
     return parser
 
@@ -350,9 +270,21 @@ def main(argv=None) -> int:
                 pass
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
+        text = dump_json(doc) if args.format == "json" else text
+        if text:
+            print(text)
+        return code
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # every stage recurses once per tree level
+        print(
+            "error: a derivation tree nests deeper than the interpreter's recursion limit "
+            f"({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 3
     except (ComptransError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,8 +30,8 @@ from functools import cached_property
 
 from .errors import CorrespondenceError, TupleCapError
 from .model import CompositionalGrammar, GrammarPair
-from .pipeline import semgen, translate_sem, well_formed_sem_trees
-from .trees import SemTree, enumerate_sem_trees, format_tree, is_cfg_well_formed, syn_cat
+from .pipeline import realized_categories, translate_sem, well_formed_sem_trees
+from .trees import SemTree, enumerate_sem_trees, format_tree
 
 CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
@@ -58,17 +58,17 @@ class CategoryCorrespondence:
     def by_category(self) -> dict[str, CorrespondenceEntry]:
         return dict(self.entries)
 
-    def categories_for(self, sem_cat: str) -> tuple[str, ...]:
+    def _entry(self, sem_cat: str) -> CorrespondenceEntry:
         entry = self.by_category.get(sem_cat)
         if entry is None:
             raise CorrespondenceError(f"no correspondence declared for semantic category '{sem_cat}'")
-        return entry.categories
+        return entry
+
+    def categories_for(self, sem_cat: str) -> tuple[str, ...]:
+        return self._entry(sem_cat).categories
 
     def label_for(self, sem_cat: str) -> str:
-        entry = self.by_category.get(sem_cat)
-        if entry is None:
-            raise CorrespondenceError(f"no correspondence declared for semantic category '{sem_cat}'")
-        return entry.label
+        return self._entry(sem_cat).label
 
 
 def n1_correspondence(mapping: dict[str, str]) -> CategoryCorrespondence:
@@ -123,7 +123,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
     violations: list[Violation] = []
     for b in sorted(src.basics, key=lambda x: x.name):
         for m in b.meanings:
-            if not tgt.basics_with_meaning[m]:
+            if not tgt.inverse_interpretation.leaves[m]:
                 violations.append(
                     Violation(
                         kind="uncovered-basic-meaning",
@@ -137,7 +137,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
                 )
     for r in sorted(src.rules, key=lambda x: x.name):
         for m in r.meanings:
-            if not tgt.rules_with_meaning[m]:
+            if not tgt.inverse_interpretation.ops[m]:
                 violations.append(
                     Violation(
                         kind="uncovered-semantic-rule",
@@ -152,13 +152,34 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
     return CompletenessReport(condition="homomorphism", violations=tuple(violations))
 
 
+def _interpretation_links(g: CompositionalGrammar):
+    """Every interpretation link of ``g``, basics then rules, each sorted by name.
+
+    Yields ``(carrier, meaning, role, syntactic category, semantic category)``
+    where ``role`` is ``"basic"``, ``"argument <i>"`` (1-based) or ``"result"``.
+    """
+    sc = g.semantics
+    for b in sorted(g.basics, key=lambda x: x.name):
+        for m in b.meanings:
+            yield b, m, "basic", b.category, sc.meaning_by_name[m].category
+    for r in sorted(g.rules, key=lambda x: x.name):
+        for m in r.meanings:
+            sem = sc.rule_by_name[m]
+            for i, (syn_arg, sem_arg) in enumerate(zip(r.arg_list, sem.arg_list), start=1):
+                yield r, m, f"argument {i}", syn_arg, sem_arg
+            yield r, m, "result", r.result, sem.result
+
+
 def _solve_n1(target: CompositionalGrammar) -> tuple[dict[str, str] | None, list[Violation]]:
     """Propagate every interpretation link into a category map, or explain why none exists."""
     sc = target.semantics
     demands: dict[str, tuple[str, str]] = {}
     violations: list[Violation] = []
-
-    def demand(sem_cat: str, syn_cat: str, why: str) -> None:
+    for x, m, role, syn_cat, sem_cat in _interpretation_links(target):
+        if role == "basic":
+            why = f"basic '{x.name}' carries '{m}'"
+        else:
+            why = f"{role} of rule '{x.name}' realizing '{m}'"
         prev = demands.get(sem_cat)
         if prev is None:
             demands[sem_cat] = (syn_cat, why)
@@ -173,16 +194,6 @@ def _solve_n1(target: CompositionalGrammar) -> tuple[dict[str, str] | None, list
                     category=sem_cat,
                 )
             )
-
-    for b in sorted(target.basics, key=lambda x: x.name):
-        for m in b.meanings:
-            demand(sc.meaning_by_name[m].category, b.category, f"basic '{b.name}' carries '{m}'")
-    for r in sorted(target.rules, key=lambda x: x.name):
-        for m in r.meanings:
-            sem = sc.rule_by_name[m]
-            for i, (sem_arg, syn_arg) in enumerate(zip(sem.arg_list, r.arg_list), start=1):
-                demand(sem_arg, syn_arg, f"argument {i} of rule '{r.name}' realizing '{m}'")
-            demand(sem.result, r.result, f"result of rule '{r.name}' realizing '{m}'")
 
     if violations:
         return None, violations
@@ -244,133 +255,103 @@ def _require_coverage(pair: GrammarPair, corr: CategoryCorrespondence) -> None:
 
 def _nn_typing_violations(pair: GrammarPair, corr: CategoryCorrespondence) -> list[Violation]:
     """The correspondence must be consistent with every target interpretation link."""
-    tgt = pair.target
-    sc = tgt.semantics
     violations: list[Violation] = []
-    for b in sorted(tgt.basics, key=lambda x: x.name):
-        for m in b.meanings:
-            sem_cat = sc.meaning_by_name[m].category
-            if b.category not in corr.categories_for(sem_cat):
-                violations.append(
-                    Violation(
-                        kind="nn-typing-basic",
-                        message=(
-                            f"target basic '{b.name}' realizes '{m}' at category '{b.category}', "
-                            f"which is outside the correspondence set of '{sem_cat}'"
-                        ),
-                        source=b.name,
-                        meaning=m,
-                        category=b.category,
-                    )
+    for x, m, role, syn_cat, sem_cat in _interpretation_links(pair.target):
+        if syn_cat in corr.categories_for(sem_cat):
+            continue
+        if role == "basic":
+            violations.append(
+                Violation(
+                    kind="nn-typing-basic",
+                    message=(
+                        f"target basic '{x.name}' realizes '{m}' at category '{syn_cat}', "
+                        f"which is outside the correspondence set of '{sem_cat}'"
+                    ),
+                    source=x.name,
+                    meaning=m,
+                    category=syn_cat,
                 )
-    for r in sorted(tgt.rules, key=lambda x: x.name):
-        for m in r.meanings:
-            sem = sc.rule_by_name[m]
-            for i, (sem_arg, syn_arg) in enumerate(zip(sem.arg_list, r.arg_list), start=1):
-                if syn_arg not in corr.categories_for(sem_arg):
-                    violations.append(
-                        Violation(
-                            kind="nn-typing-rule",
-                            message=(
-                                f"argument {i} of target rule '{r.name}' realizing '{m}' has "
-                                f"category '{syn_arg}', outside the correspondence set of '{sem_arg}'"
-                            ),
-                            source=r.name,
-                            rule=m,
-                            category=syn_arg,
-                        )
-                    )
-            if r.result not in corr.categories_for(sem.result):
-                violations.append(
-                    Violation(
-                        kind="nn-typing-rule",
-                        message=(
-                            f"result of target rule '{r.name}' realizing '{m}' has category "
-                            f"'{r.result}', outside the correspondence set of '{sem.result}'"
-                        ),
-                        source=r.name,
-                        rule=m,
-                        category=r.result,
-                    )
-                )
-    return violations
-
-
-def _nn_basic_violations(pair: GrammarPair, corr: CategoryCorrespondence) -> list[Violation]:
-    tgt = pair.target
-    violations: list[Violation] = []
-    for m in sorted(tgt.semantics.meanings, key=lambda x: x.name):
-        corr_set = corr.categories_for(m.category)
-        carriers = {b.category for b in tgt.basics_with_meaning[m.name]}
-        if corr.label_for(m.category) == DISJUNCTIVE:
-            if not carriers & set(corr_set):
-                violations.append(
-                    Violation(
-                        kind="missing-basic",
-                        message=(
-                            f"meaning '{m.name}' (disjunctive '{m.category}') has no target basic "
-                            f"in any of {{{', '.join(corr_set)}}}"
-                        ),
-                        meaning=m.name,
-                    )
-                )
+            )
         else:
-            for cat in corr_set:
-                if cat not in carriers:
-                    violations.append(
-                        Violation(
-                            kind="missing-basic",
-                            message=(
-                                f"meaning '{m.name}' (conjunctive '{m.category}') has no target "
-                                f"basic of category '{cat}'"
-                            ),
-                            meaning=m.name,
-                            category=cat,
-                        )
-                    )
+            violations.append(
+                Violation(
+                    kind="nn-typing-rule",
+                    message=(
+                        f"{role} of target rule '{x.name}' realizing '{m}' has "
+                        f"category '{syn_cat}', outside the correspondence set of '{sem_cat}'"
+                    ),
+                    source=x.name,
+                    rule=m,
+                    category=syn_cat,
+                )
+            )
     return violations
 
 
-def _nn_rule_violations(
+def _nn_coverage_violations(
     pair: GrammarPair, corr: CategoryCorrespondence, tuple_cap: int
 ) -> list[Violation]:
+    """Every semantic symbol needs a target carrier for every correspondence case.
+
+    A case fixes one category per disjunctive argument and, for a conjunctive
+    result, the result category. A basic meaning is a symbol with no
+    arguments, so its cases are the categories of a conjunctive set, or one
+    case for a disjunctive set.
+    """
     tgt = pair.target
     violations: list[Violation] = []
-    for sem in sorted(tgt.semantics.rules, key=lambda x: x.name):
-        labels = [corr.label_for(c) for c in sem.arg_list]
-        disj_idx = [i for i, lab in enumerate(labels) if lab == DISJUNCTIVE]
-        conj_idx = [i for i, lab in enumerate(labels) if lab == CONJUNCTIVE]
-        conj_sets = {i: set(corr.categories_for(sem.arg_list[i])) for i in conj_idx}
-        disj_sets = [corr.categories_for(sem.arg_list[i]) for i in disj_idx]
-        result_set = corr.categories_for(sem.result)
-        result_conj = corr.label_for(sem.result) == CONJUNCTIVE
+    for leaf, symbols in ((True, tgt.semantics.meanings), (False, tgt.semantics.rules)):
+        for sem in sorted(symbols, key=lambda x: x.name):
+            labels = [corr.label_for(c) for c in sem.arg_list]
+            disj_idx = [i for i, lab in enumerate(labels) if lab == DISJUNCTIVE]
+            conj_idx = [i for i, lab in enumerate(labels) if lab == CONJUNCTIVE]
+            conj_sets = {i: set(corr.categories_for(sem.arg_list[i])) for i in conj_idx}
+            disj_sets = [corr.categories_for(sem.arg_list[i]) for i in disj_idx]
+            result_set = corr.categories_for(sem.result)
+            result_label = corr.label_for(sem.result)
+            result_conj = result_label == CONJUNCTIVE
 
-        n_cases = math.prod(len(s) for s in disj_sets) * (len(result_set) if result_conj else 1)
-        if n_cases > tuple_cap:
-            raise TupleCapError(
-                f"semantic rule '{sem.name}' needs {n_cases} correspondence tuples, "
-                f"over the cap of {tuple_cap}",
-                tuple_cap,
-            )
+            n_cases = math.prod(len(s) for s in disj_sets) * (len(result_set) if result_conj else 1)
+            if not leaf and n_cases > tuple_cap:
+                raise TupleCapError(
+                    f"semantic rule '{sem.name}' needs {n_cases} correspondence tuples, "
+                    f"over the cap of {tuple_cap}",
+                    tuple_cap,
+                )
 
-        candidates = tgt.rules_with_meaning[sem.name]
+            candidates = tgt.inverse_interpretation.images(sem.name, leaf)
 
-        def matches(rule, tup, required_result):
-            for pos, i in enumerate(disj_idx):
-                if rule.arg_list[i] != tup[pos]:
-                    return False
-            for i in conj_idx:
-                if rule.arg_list[i] not in conj_sets[i]:
-                    return False
-            if required_result is None:
-                return rule.result in result_set
-            return rule.result == required_result
+            def matches(rule, tup, required_result):
+                for pos, i in enumerate(disj_idx):
+                    if rule.arg_list[i] != tup[pos]:
+                        return False
+                for i in conj_idx:
+                    if rule.arg_list[i] not in conj_sets[i]:
+                        return False
+                if required_result is None:
+                    return rule.result in result_set
+                return rule.result == required_result
 
-        for tup in itertools.product(*disj_sets):
-            required = list(result_set) if result_conj else [None]
-            for req in required:
-                if not any(matches(r, tup, req) for r in candidates):
+            for tup in itertools.product(*disj_sets):
+                required = list(result_set) if result_conj else [None]
+                for req in required:
+                    if any(matches(r, tup, req) for r in candidates):
+                        continue
                     shown = req if req is not None else f"any of {{{', '.join(result_set)}}}"
+                    if leaf:
+                        where = f"of category '{req}'" if req is not None else f"in {shown}"
+                        violations.append(
+                            Violation(
+                                kind="missing-basic",
+                                message=(
+                                    f"meaning '{sem.name}' ({result_label} '{sem.result}') has no "
+                                    f"target basic {where}"
+                                ),
+                                meaning=sem.name,
+                                category=req,
+                            )
+                        )
+                        continue
                     violations.append(
                         Violation(
                             kind="missing-rule",
@@ -401,8 +382,7 @@ def check_nn_completeness(
     hom = check_homomorphism(pair)
     violations = list(hom.violations)
     violations.extend(_nn_typing_violations(pair, corr))
-    violations.extend(_nn_basic_violations(pair, corr))
-    violations.extend(_nn_rule_violations(pair, corr, tuple_cap))
+    violations.extend(_nn_coverage_violations(pair, corr, tuple_cap))
     return CompletenessReport(condition="nn", violations=tuple(violations), subreports=(hom,))
 
 
@@ -426,7 +406,7 @@ def validate_labels(
         if entry.label != CONJUNCTIVE or sem_cat not in set(sc.categories):
             continue
         for d in enumerate_sem_trees(sc, sem_cat, max_depth):
-            realized = {syn_cat(tgt, t) for t in semgen(tgt, d) if is_cfg_well_formed(tgt, t)}
+            realized = realized_categories(tgt, d)
             for wanted in entry.categories:
                 if wanted not in realized:
                     violations.append(

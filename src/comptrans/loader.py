@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .completeness import CategoryCorrespondence, CorrespondenceEntry
-from .errors import GrammarFormatError, GrammarValidationError
+from .errors import ComptransError, GrammarFormatError, GrammarValidationError
 from .model import (
+    SEMANTICS,
+    SYNTAX,
     BasicExpression,
     BasicMeaning,
     CompositionalGrammar,
@@ -41,6 +43,7 @@ from .model import (
     SemanticComponent,
     SemRule,
     SyntacticRule,
+    check_unique,
     validate_grammar,
     validate_pair,
     validate_semantics,
@@ -104,6 +107,17 @@ class _Lexer:
             i = j
         return tokens
 
+    def directives(self):
+        """``(line parser past the keyword, keyword token)`` for each non-empty line."""
+        for lineno, tokens in enumerate(self.lines, start=1):
+            if tokens:
+                lp = _LineParser(tokens, self.path, lineno)
+                head = tokens[0]
+                if head.quoted:
+                    raise lp.error("line must start with a directive keyword", head)
+                lp.pos = 1
+                yield lp, head
+
 
 class _LineParser:
     """Cursor over one token list, with located errors."""
@@ -145,28 +159,23 @@ class _LineParser:
         if tok is not None:
             raise self.error(f"unexpected token '{tok.text}'", tok)
 
-    def name_list_to_end(self, what: str) -> list[str]:
+    def names_to_end(self, what: str, sep: str | None = None) -> list[str]:
+        """One or more names up to the end of the line, each after the first preceded by ``sep``."""
         names = [self.name(what)]
         while self.peek() is not None:
+            if sep is not None:
+                self.expect(sep)
             names.append(self.name(what))
         return names
 
-    def comma_names(self, what: str) -> list[str]:
-        """``a, b, c`` until end of line."""
-        names = [self.name(what)]
-        while self.peek() is not None:
-            self.expect(",")
-            names.append(self.name(what))
-        return names
-
-    def paren_names(self, what: str) -> list[str]:
-        self.expect("(")
+    def bracketed_names(self, what: str, open_: str = "(", close: str = ")") -> list[str]:
+        self.expect(open_)
         names = []
         while True:
             tok = self.peek()
             if tok is None:
-                raise self.error("expected ')' but the line ended")
-            if not tok.quoted and tok.text == ")":
+                raise self.error(f"expected '{close}' but the line ended")
+            if not tok.quoted and tok.text == close:
                 self.pos += 1
                 return names
             names.append(self.name(what))
@@ -180,13 +189,16 @@ class FileContents:
     grammars: tuple[CompositionalGrammar, ...]
 
 
-def _sorted_unique(names: list[str], kind: str, err) -> tuple[str, ...]:
-    seen = set()
-    for n in names:
-        if n in seen:
-            raise err(f"duplicate {kind} '{n}' in list")
-        seen.add(n)
-    return tuple(sorted(names))
+# the block each body directive belongs to, and the kind of signature a block declares
+_BLOCK_OF = {
+    "semcat": "semantics",
+    "meaning": "semantics",
+    "mrule": "semantics",
+    "syncat": "grammar",
+    "basic": "grammar",
+    "rule": "grammar",
+}
+_KIND_OF = {"semantics": SEMANTICS, "grammar": SYNTAX}
 
 
 class _FileParser:
@@ -195,206 +207,154 @@ class _FileParser:
         self.env = dict(env or {})
         self.lexer = _Lexer(text, path)
         self.semantics: list[SemanticComponent] = []
-        self.local_sem_names: set[str] = set()
         self.grammars: list[CompositionalGrammar] = []
-        # current block state
+        # the open block: its keyword and first line, then what it declares
         self.block: str | None = None
         self.block_line: _LineParser | None = None
-        self.sem_name = ""
-        self.sem_cats: list[str] = []
-        self.sem_meanings: list[BasicMeaning] = []
-        self.sem_rules: list[SemRule] = []
-        self.gr_name = ""
-        self.gr_sem: SemanticComponent | None = None
-        self.gr_cats: list[str] = []
-        self.gr_basics: list[BasicExpression] = []
-        self.gr_rules: list[SyntacticRule] = []
+        self.name = ""
+        self.uses: SemanticComponent | None = None
+        self.cats: list[str] = []
+        self.leaves: list = []
+        self.ops: list = []
 
     def parse(self) -> FileContents:
-        for lineno, tokens in enumerate(self.lexer.lines, start=1):
-            if not tokens:
-                continue
-            lp = _LineParser(tokens, self.path, lineno)
-            head = tokens[0]
-            if head.quoted:
-                raise lp.error("line must start with a directive keyword", head)
+        for lp, head in self.lexer.directives():
             handler = getattr(self, "_dir_" + head.text.replace("-", "_"), None)
             if handler is None:
                 raise lp.error(f"unknown directive '{head.text}'", head)
-            lp.pos = 1
+            block = _BLOCK_OF.get(head.text)
+            if block is not None and self.block != block:
+                raise lp.error(f"'{head.text}' is only allowed inside a '{block}' block", head)
             try:
                 handler(lp)
             except GrammarValidationError as e:
                 if e.line is None:
-                    raise GrammarValidationError(e.args[0], self.path, lineno) from None
+                    raise GrammarValidationError(e.args[0], self.path, lp.lineno) from None
                 raise
         self._close_block()
         return FileContents(tuple(self.semantics), tuple(self.grammars))
 
     # -- block management ---------------------------------------------------
 
-    def _close_block(self) -> None:
-        if self.block == "semantics":
-            sc = SemanticComponent(
-                name=self.sem_name,
-                categories=tuple(self.sem_cats),
-                meanings=tuple(self.sem_meanings),
-                rules=tuple(self.sem_rules),
-            )
-            try:
-                validate_semantics(sc)
-            except GrammarValidationError as e:
-                raise GrammarValidationError(e.args[0], self.path, self.block_line.lineno) from None
-            if sc.name in self.local_sem_names:
-                raise GrammarFormatError(
-                    f"semantic component '{sc.name}' declared more than once",
-                    self.path,
-                    self.block_line.lineno,
-                )
-            # an in-file declaration shadows one supplied through env
-            self.local_sem_names.add(sc.name)
-            self.env[sc.name] = sc
-            self.semantics.append(sc)
-        elif self.block == "grammar":
-            g = CompositionalGrammar(
-                name=self.gr_name,
-                categories=tuple(self.gr_cats),
-                basics=tuple(self.gr_basics),
-                rules=tuple(self.gr_rules),
-                semantics=self.gr_sem,
-            )
-            try:
-                validate_grammar(g)
-            except GrammarValidationError as e:
-                raise GrammarValidationError(e.args[0], self.path, self.block_line.lineno) from None
-            if any(g.name == other.name for other in self.grammars):
-                raise GrammarFormatError(
-                    f"grammar '{g.name}' declared more than once", self.path, self.block_line.lineno
-                )
-            self.grammars.append(g)
-        self.block = None
+    def _open_block(self, lp: _LineParser, block: str) -> None:
+        self._close_block()
+        self.block, self.block_line = block, lp
+        self.cats, self.leaves, self.ops = [], [], []
 
-    def _require_block(self, lp: _LineParser, block: str, directive: str) -> None:
-        if self.block != block:
-            raise lp.error(f"'{directive}' is only allowed inside a '{block}' block", lp.tokens[0])
+    def _close_block(self) -> None:
+        if self.block is None:
+            return
+        parts = (self.name, tuple(self.cats), tuple(self.leaves), tuple(self.ops))
+        if self.block == "semantics":
+            x, validate, declared = SemanticComponent(*parts), validate_semantics, self.semantics
+            # an in-file declaration shadows one supplied through env
+            self.env[x.name] = x
+        else:
+            x, validate, declared = CompositionalGrammar(*parts, self.uses), validate_grammar, self.grammars
+        line = self.block_line.lineno
+        try:
+            validate(x)
+        except GrammarValidationError as e:
+            raise GrammarValidationError(e.args[0], self.path, line) from None
+        if any(other.name == x.name for other in declared):
+            raise GrammarFormatError(
+                f"{x.signature.kind.component} '{x.name}' declared more than once", self.path, line
+            )
+        declared.append(x)
+        self.block = None
 
     # -- directives ---------------------------------------------------------
 
     def _dir_semantics(self, lp: _LineParser) -> None:
-        self._close_block()
-        self.block = "semantics"
-        self.block_line = lp
-        self.sem_name = lp.name("semantic component name")
+        self._open_block(lp, "semantics")
+        self.name = lp.name("semantic component name")
         lp.done()
-        self.sem_cats, self.sem_meanings, self.sem_rules = [], [], []
 
     def _dir_grammar(self, lp: _LineParser) -> None:
-        self._close_block()
-        self.block = "grammar"
-        self.block_line = lp
-        self.gr_name = lp.name("grammar name")
+        self._open_block(lp, "grammar")
+        self.name = lp.name("grammar name")
         lp.expect("uses")
         sem_name = lp.name("semantic component name")
         lp.done()
-        sc = self.env.get(sem_name)
-        if sc is None:
-            raise lp.error(f"grammar '{self.gr_name}' uses unknown semantic component '{sem_name}'")
-        self.gr_sem = sc
-        self.gr_cats, self.gr_basics, self.gr_rules = [], [], []
+        self.uses = self.env.get(sem_name)
+        if self.uses is None:
+            raise lp.error(f"grammar '{self.name}' uses unknown semantic component '{sem_name}'")
+
+    def _declaration(self, lp: _LineParser, op: bool) -> tuple[str, tuple[str, ...], str]:
+        """``<name> : <cat>`` for a leaf, ``<name> : ( <cat>... ) -> <cat>`` for an operator."""
+        kind = _KIND_OF[self.block]
+        name = lp.name(f"{kind.op if op else kind.leaf} name")
+        lp.expect(":")
+        args = ()
+        if op:
+            args = tuple(lp.bracketed_names(f"{kind.sort} name"))
+            lp.expect("->")
+        return name, args, lp.name(f"{kind.sort} name")
 
     def _dir_semcat(self, lp: _LineParser) -> None:
-        self._require_block(lp, "semantics", "semcat")
-        self.sem_cats.extend(lp.name_list_to_end("semantic category name"))
+        self.cats.extend(lp.names_to_end(f"{_KIND_OF[self.block].sort} name"))
+
+    _dir_syncat = _dir_semcat
 
     def _dir_meaning(self, lp: _LineParser) -> None:
-        self._require_block(lp, "semantics", "meaning")
-        name = lp.name("basic meaning name")
-        lp.expect(":")
-        cat = lp.name("semantic category name")
+        name, _, cat = self._declaration(lp, op=False)
         lp.done()
-        self.sem_meanings.append(BasicMeaning(name, cat))
+        self.leaves.append(BasicMeaning(name, cat))
 
     def _dir_mrule(self, lp: _LineParser) -> None:
-        self._require_block(lp, "semantics", "mrule")
-        name = lp.name("semantic rule name")
-        lp.expect(":")
-        args = lp.paren_names("semantic category name")
-        lp.expect("->")
-        result = lp.name("semantic category name")
+        name, args, result = self._declaration(lp, op=True)
         lp.done()
-        self.sem_rules.append(SemRule(name, tuple(args), result))
+        self.ops.append(SemRule(name, args, result))
 
-    def _dir_syncat(self, lp: _LineParser) -> None:
-        self._require_block(lp, "grammar", "syncat")
-        self.gr_cats.extend(lp.name_list_to_end("syntactic category name"))
-
-    def _dir_basic(self, lp: _LineParser) -> None:
-        self._require_block(lp, "grammar", "basic")
-        name = lp.name("basic expression name")
-        lp.expect(":")
-        cat = lp.name("syntactic category name")
-        lp.expect("=")
-        surface = []
+    @staticmethod
+    def _until_arrow(lp: _LineParser, what: str):
+        """The tokens before ``=>``, which is consumed."""
         while True:
             tok = lp.peek()
             if tok is None:
-                raise lp.error("expected '=>' before the meaning list")
+                raise lp.error(f"expected '=>' before the {what} list")
+            lp.pos += 1
             if not tok.quoted and tok.text == "=>":
-                lp.pos += 1
-                break
+                return
+            yield tok
+
+    def _dir_basic(self, lp: _LineParser) -> None:
+        name, _, cat = self._declaration(lp, op=False)
+        lp.expect("=")
+        surface = []
+        for tok in self._until_arrow(lp, "meaning"):
             if not tok.quoted:
                 raise lp.error(f"surface tokens must be quoted, found '{tok.text}'", tok)
             surface.append(tok.text)
-            lp.pos += 1
         if not surface:
             raise lp.error(f"basic expression '{name}' has an empty surface")
-        meanings = lp.comma_names("basic meaning name")
-        self.gr_basics.append(
-            BasicExpression(name, cat, tuple(surface), _sorted_unique(meanings, "meaning", lp.error))
-        )
+        meanings = lp.names_to_end("basic meaning name", ",")
+        check_unique("meaning", meanings, lp.error)
+        self.leaves.append(BasicExpression(name, cat, tuple(surface), tuple(sorted(meanings))))
 
     def _dir_rule(self, lp: _LineParser) -> None:
-        self._require_block(lp, "grammar", "rule")
-        name = lp.name("rule name")
-        lp.expect(":")
-        args = lp.paren_names("syntactic category name")
-        lp.expect("->")
-        result = lp.name("syntactic category name")
+        name, args, result = self._declaration(lp, op=True)
         lp.expect("=")
         template: list[str | int] = []
-        while True:
-            tok = lp.peek()
-            if tok is None:
-                raise lp.error("expected '=>' before the semantic rule list")
-            if not tok.quoted and tok.text == "=>":
-                lp.pos += 1
-                break
+        for tok in self._until_arrow(lp, "semantic rule"):
             if tok.quoted:
                 template.append(tok.text)
-            else:
-                m = _PLACEHOLDER_RE.match(tok.text)
-                if not m:
-                    raise lp.error(
-                        f"template items are quoted terminals or $<i> placeholders, found '{tok.text}'",
-                        tok,
-                    )
-                idx = int(m.group(1))
-                if idx < 1:
-                    raise lp.error("placeholder indices start at $1", tok)
-                template.append(idx)
-            lp.pos += 1
+                continue
+            m = _PLACEHOLDER_RE.match(tok.text)
+            if not m:
+                raise lp.error(
+                    f"template items are quoted terminals or $<i> placeholders, found '{tok.text}'",
+                    tok,
+                )
+            idx = int(m.group(1))
+            if idx < 1:
+                raise lp.error("placeholder indices start at $1", tok)
+            template.append(idx)
         if not template:
             raise lp.error(f"rule '{name}' has an empty template")
-        meanings = lp.comma_names("semantic rule name")
-        self.gr_rules.append(
-            SyntacticRule(
-                name,
-                tuple(args),
-                result,
-                tuple(template),
-                _sorted_unique(meanings, "semantic rule", lp.error),
-            )
-        )
+        meanings = lp.names_to_end("semantic rule name", ",")
+        check_unique("semantic rule", meanings, lp.error)
+        self.ops.append(SyntacticRule(name, args, result, tuple(template), tuple(sorted(meanings))))
 
 
 def parse_file(
@@ -434,72 +394,37 @@ class LoadedPair:
     path: str | None = None
 
 
-def _pick_semantics(contents: FileContents, name: str | None, path: str, lp: _LineParser) -> SemanticComponent:
+def pick(items: tuple, name: str | None, kind: str, path: str, hint: str, error=ComptransError):
+    """The ``kind`` called ``name`` among ``items``, or the only one when ``name`` is None."""
     if name is not None:
-        for sc in contents.semantics:
-            if sc.name == name:
-                return sc
-        raise lp.error(f"file '{path}' declares no semantic component '{name}'")
-    if len(contents.semantics) != 1:
-        raise lp.error(
-            f"file '{path}' declares {len(contents.semantics)} semantic components; name one explicitly"
-        )
-    return contents.semantics[0]
-
-
-def _pick_grammar(contents: FileContents, name: str | None, path: str, lp: _LineParser) -> CompositionalGrammar:
-    if name is not None:
-        for g in contents.grammars:
-            if g.name == name:
-                return g
-        raise lp.error(f"file '{path}' declares no grammar '{name}'")
-    if len(contents.grammars) != 1:
-        raise lp.error(f"file '{path}' declares {len(contents.grammars)} grammars; name one explicitly")
-    return contents.grammars[0]
+        for x in items:
+            if x.name == name:
+                return x
+        raise error(f"file '{path}' declares no {kind} '{name}'")
+    if len(items) != 1:
+        raise error(f"file '{path}' declares {len(items)} {kind}s; {hint}")
+    return items[0]
 
 
 def load_pair(path: str | Path) -> LoadedPair:
     """Load a ``.cgp`` pair file and everything it references."""
     p = Path(path)
     text = p.read_text(encoding="utf-8")
-    lexer = _Lexer(text, str(p))
-
-    sem_ref: tuple[_LineParser, str, str | None] | None = None
-    side_refs: dict[str, tuple[_LineParser, str, str | None]] = {}
+    refs: dict[str, tuple[_LineParser, str, str | None]] = {}
     correspond_lines: list[tuple[_LineParser, str, list[str], str]] = []
 
-    for lineno, tokens in enumerate(lexer.lines, start=1):
-        if not tokens:
-            continue
-        lp = _LineParser(tokens, str(p), lineno)
-        head = lp.next("directive")
-        if head.quoted:
-            raise lp.error("line must start with a directive keyword", head)
+    for lp, head in _Lexer(text, str(p)).directives():
         if head.text in ("semantics", "source", "target"):
             ref_path = lp.next("file path").text
             name = lp.name("name") if lp.peek() is not None else None
             lp.done()
-            if head.text == "semantics":
-                if sem_ref is not None:
-                    raise lp.error("duplicate 'semantics' line", head)
-                sem_ref = (lp, ref_path, name)
-            else:
-                if head.text in side_refs:
-                    raise lp.error(f"duplicate '{head.text}' line", head)
-                side_refs[head.text] = (lp, ref_path, name)
+            if head.text in refs:
+                raise lp.error(f"duplicate '{head.text}' line", head)
+            refs[head.text] = (lp, ref_path, name)
         elif head.text == "correspond":
             sem_cat = lp.name("semantic category name")
             lp.expect("->")
-            lp.expect("{")
-            cats = []
-            while True:
-                tok = lp.peek()
-                if tok is None:
-                    raise lp.error("expected '}' but the line ended")
-                if not tok.quoted and tok.text == "}":
-                    lp.pos += 1
-                    break
-                cats.append(lp.name("syntactic category name"))
+            cats = lp.bracketed_names("syntactic category name", "{", "}")
             label = lp.next("'conjunctive' or 'disjunctive'")
             if label.quoted or label.text not in ("conjunctive", "disjunctive"):
                 raise lp.error(f"expected 'conjunctive' or 'disjunctive', found '{label.text}'", label)
@@ -511,27 +436,22 @@ def load_pair(path: str | Path) -> LoadedPair:
             raise lp.error(f"unknown directive '{head.text}'", head)
 
     top = _LineParser([], str(p), 1)
-    if sem_ref is None:
-        raise top.error("pair file must declare a 'semantics' line")
-    for side in ("source", "target"):
-        if side not in side_refs:
-            raise top.error(f"pair file must declare a '{side}' line")
+    for key in ("semantics", "source", "target"):
+        if key not in refs:
+            raise top.error(f"pair file must declare a '{key}' line")
 
-    def resolve(rel: str) -> Path:
-        return (p.parent / rel).resolve()
+    def contents(rel: str, env=None) -> FileContents:
+        path = (p.parent / rel).resolve()
+        return parse_file(path.read_text(encoding="utf-8"), str(path), env)
 
-    lp, rel, name = sem_ref
-    sem_path = resolve(rel)
-    sem_contents = parse_file(sem_path.read_text(encoding="utf-8"), str(sem_path))
-    component = _pick_semantics(sem_contents, name, rel, lp)
+    lp, rel, name = refs["semantics"]
+    sem_contents = contents(rel)
+    component = pick(sem_contents.semantics, name, "semantic component", rel, "name one explicitly", lp.error)
     env = {sc.name: sc for sc in sem_contents.semantics}
-
     grammars = {}
     for side in ("source", "target"):
-        lp, rel, name = side_refs[side]
-        gpath = resolve(rel)
-        contents = parse_file(gpath.read_text(encoding="utf-8"), str(gpath), env)
-        grammars[side] = _pick_grammar(contents, name, rel, lp)
+        lp, rel, name = refs[side]
+        grammars[side] = pick(contents(rel, env).grammars, name, "grammar", rel, "name one explicitly", lp.error)
         if grammars[side].semantics != component:
             raise lp.error(
                 f"{side} grammar '{grammars[side].name}' does not use the pair's semantic "

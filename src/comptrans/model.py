@@ -1,18 +1,22 @@
 """Data model for CFG-based compositional grammars and their shared semantics.
 
-A compositional grammar couples a syntactic component (basic expressions and
-syntactic rules over syntactic categories) with an interpretation into a
-semantic component (basic meanings and semantic rules over semantic
-categories). All values are immutable after construction and safe to share
-between threads; every invariant is enforced by :func:`validate_grammar` /
-:func:`validate_semantics`, which the file loader calls on everything it
-returns.
+Both sides of a compositional grammar are the same kind of object, a
+many-sorted :class:`Signature`: sorts (categories), leaves of one sort, and
+operators from argument sorts to a result sort. The syntactic component has
+basic expressions and syntactic rules over syntactic categories; the semantic
+component has basic meanings and semantic rules over semantic categories. The
+interpretation of a grammar is a :class:`Relabelling` from its syntactic
+symbols to semantic ones, and its inverse runs back. All values are immutable
+after construction and safe to share between threads; every invariant is
+enforced by :func:`validate_grammar` / :func:`validate_semantics`, which the
+file loader calls on everything it returns.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
-from .errors import GrammarValidationError, SemanticsMismatchError
+from .errors import GrammarValidationError, SemanticsMismatchError, UnknownNameError
 
 #: A surface template is a tuple of items; ``str`` items are literal terminal
 #: tokens, ``int`` items are 1-based argument placeholders.
@@ -20,16 +24,121 @@ TemplateItem = str | int
 
 
 @dataclass(frozen=True)
-class BasicMeaning:
-    """An uninterpreted semantic atom with a semantic category."""
+class SignatureKind:
+    """How messages name one side's component, sorts, leaves and operators."""
+
+    component: str
+    sort: str
+    leaf: str
+    op: str
+
+
+SYNTAX = SignatureKind("grammar", "syntactic category", "basic expression", "rule")
+SEMANTICS = SignatureKind("semantic component", "semantic category", "basic meaning", "semantic rule")
+
+
+def _by_result(sorts: tuple[str, ...], symbols: tuple) -> dict[str, tuple]:
+    out: dict[str, list] = {s: [] for s in sorts}
+    for x in symbols:
+        out[x.result].append(x)
+    return {s: tuple(xs) for s, xs in out.items()}
+
+
+@dataclass(frozen=True)
+class Signature:
+    """A many-sorted signature: sorts, typed leaves, and typed operators.
+
+    Every symbol has ``name``, ``arg_list`` (the argument sorts) and
+    ``result``; a leaf is a nullary symbol whose result is its ``category``.
+    """
+
+    kind: SignatureKind
+    name: str
+    sorts: tuple[str, ...]
+    leaves: tuple
+    ops: tuple
+
+    @property
+    def owner(self) -> str:
+        return f"{self.kind.component} '{self.name}'"
+
+    @cached_property
+    def leaf_by_name(self) -> dict:
+        return {x.name: x for x in self.leaves}
+
+    @cached_property
+    def op_by_name(self) -> dict:
+        return {x.name: x for x in self.ops}
+
+    @cached_property
+    def leaves_by_sort(self) -> dict[str, tuple]:
+        return _by_result(self.sorts, self.leaves)
+
+    @cached_property
+    def ops_by_result(self) -> dict[str, tuple]:
+        return _by_result(self.sorts, self.ops)
+
+    def symbol(self, name: str, leaf: bool):
+        """The leaf or operator called ``name``; raises :class:`UnknownNameError` if none."""
+        found = (self.leaf_by_name if leaf else self.op_by_name).get(name)
+        if found is None:
+            kind = self.kind.leaf if leaf else self.kind.op
+            raise UnknownNameError(f"{self.owner} has no {kind} '{name}'")
+        return found
+
+    def require_sort(self, sort: str) -> None:
+        if sort not in self.leaves_by_sort:
+            raise UnknownNameError(f"{self.owner} declares no category '{sort}'")
+
+
+@dataclass(frozen=True, eq=False)
+class Relabelling:
+    """A relation from the symbols of one signature to those of another.
+
+    ``leaves`` and ``ops`` map every symbol name of ``source`` to the
+    ``target`` symbols it may be relabelled to. A grammar's interpretation is
+    one, from syntax to semantics; :meth:`inverse` gives the way back.
+    """
+
+    source: Signature
+    target: Signature
+    leaves: dict[str, tuple]
+    ops: dict[str, tuple]
+
+    def images(self, name: str, leaf: bool) -> tuple:
+        table = self.leaves if leaf else self.ops
+        if name not in table:
+            self.source.symbol(name, leaf)  # raises UnknownNameError
+        return table[name]
+
+    def inverse(self) -> "Relabelling":
+        """The converse relation; preimages keep their declaration order."""
+
+        def flip(table, sources, targets):
+            out: dict[str, list] = {y.name: [] for y in targets}
+            for x in sources:
+                for y in table[x.name]:
+                    out[y.name].append(x)
+            return {n: tuple(xs) for n, xs in out.items()}
+
+        s, t = self.source, self.target
+        return Relabelling(t, s, flip(self.leaves, s.leaves, t.leaves), flip(self.ops, s.ops, t.ops))
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """A leaf symbol: a nullary operator with result sort ``category``."""
 
     name: str
     category: str
 
+    arg_list = ()
+    result = property(attrgetter("category"))
+
 
 @dataclass(frozen=True)
-class SemRule:
-    """A named, typed, uninterpreted operator over meanings."""
+class _Operator:
+    """An operator symbol from the sorts ``arg_list`` to the sort ``result``."""
 
     name: str
     arg_list: tuple[str, ...]
@@ -38,6 +147,16 @@ class SemRule:
     @property
     def arity(self) -> int:
         return len(self.arg_list)
+
+
+@dataclass(frozen=True)
+class BasicMeaning(_Constant):
+    """An uninterpreted semantic atom with a semantic category."""
+
+
+@dataclass(frozen=True)
+class SemRule(_Operator):
+    """A named, typed, uninterpreted operator over meanings."""
 
 
 @dataclass(frozen=True)
@@ -50,40 +169,25 @@ class SemanticComponent:
     rules: tuple[SemRule, ...]
 
     @cached_property
-    def meaning_by_name(self) -> dict[str, BasicMeaning]:
-        return {m.name: m for m in self.meanings}
+    def signature(self) -> Signature:
+        return Signature(SEMANTICS, self.name, self.categories, self.meanings, self.rules)
 
-    @cached_property
-    def rule_by_name(self) -> dict[str, SemRule]:
-        return {r.name: r for r in self.rules}
-
-    @cached_property
-    def meanings_by_category(self) -> dict[str, tuple[BasicMeaning, ...]]:
-        out: dict[str, list[BasicMeaning]] = {c: [] for c in self.categories}
-        for m in self.meanings:
-            out[m.category].append(m)
-        return {c: tuple(ms) for c, ms in out.items()}
-
-    @cached_property
-    def rules_by_result(self) -> dict[str, tuple[SemRule, ...]]:
-        out: dict[str, list[SemRule]] = {c: [] for c in self.categories}
-        for r in self.rules:
-            out[r.result].append(r)
-        return {c: tuple(rs) for c, rs in out.items()}
+    meaning_by_name = property(lambda self: self.signature.leaf_by_name)
+    rule_by_name = property(lambda self: self.signature.op_by_name)
+    meanings_by_category = property(lambda self: self.signature.leaves_by_sort)
+    rules_by_result = property(lambda self: self.signature.ops_by_result)
 
 
 @dataclass(frozen=True)
-class BasicExpression:
+class BasicExpression(_Constant):
     """A lexical entry: a surface token sequence with a set of meanings."""
 
-    name: str
-    category: str
     surface: tuple[str, ...]
     meanings: tuple[str, ...]  # sorted, non-empty
 
 
 @dataclass(frozen=True)
-class SyntacticRule:
+class SyntacticRule(_Operator):
     """A named total operation combining typed expressions.
 
     ``template`` spells out the produced surface: terminals are emitted
@@ -93,15 +197,8 @@ class SyntacticRule:
     no argument (syncategorematic material).
     """
 
-    name: str
-    arg_list: tuple[str, ...]
-    result: str
     template: tuple[TemplateItem, ...]
     meanings: tuple[str, ...]  # associated semantic rule names, sorted, non-empty
-
-    @property
-    def arity(self) -> int:
-        return len(self.arg_list)
 
 
 @dataclass(frozen=True)
@@ -115,44 +212,31 @@ class CompositionalGrammar:
     semantics: SemanticComponent
 
     @cached_property
-    def basic_by_name(self) -> dict[str, BasicExpression]:
-        return {b.name: b for b in self.basics}
+    def signature(self) -> Signature:
+        return Signature(SYNTAX, self.name, self.categories, self.basics, self.rules)
 
     @cached_property
-    def rule_by_name(self) -> dict[str, SyntacticRule]:
-        return {r.name: r for r in self.rules}
+    def interpretation(self) -> Relabelling:
+        """Each basic expression and rule -> the basic meanings or semantic rules it carries."""
+        sem = self.semantics.signature
+        return Relabelling(
+            self.signature,
+            sem,
+            {b.name: tuple(sem.leaf_by_name[m] for m in b.meanings) for b in self.basics},
+            {r.name: tuple(sem.op_by_name[m] for m in r.meanings) for r in self.rules},
+        )
 
     @cached_property
-    def basics_by_category(self) -> dict[str, tuple[BasicExpression, ...]]:
-        out: dict[str, list[BasicExpression]] = {c: [] for c in self.categories}
-        for b in self.basics:
-            out[b.category].append(b)
-        return {c: tuple(bs) for c, bs in out.items()}
+    def inverse_interpretation(self) -> Relabelling:
+        """Each basic meaning and semantic rule -> the basic expressions or rules carrying it."""
+        return self.interpretation.inverse()
 
-    @cached_property
-    def rules_by_result(self) -> dict[str, tuple[SyntacticRule, ...]]:
-        out: dict[str, list[SyntacticRule]] = {c: [] for c in self.categories}
-        for r in self.rules:
-            out[r.result].append(r)
-        return {c: tuple(rs) for c, rs in out.items()}
-
-    @cached_property
-    def basics_with_meaning(self) -> dict[str, tuple[BasicExpression, ...]]:
-        """Basic meaning name -> basic expressions carrying it."""
-        out: dict[str, list[BasicExpression]] = {m.name: [] for m in self.semantics.meanings}
-        for b in self.basics:
-            for m in b.meanings:
-                out[m].append(b)
-        return {m: tuple(bs) for m, bs in out.items()}
-
-    @cached_property
-    def rules_with_meaning(self) -> dict[str, tuple[SyntacticRule, ...]]:
-        """Semantic rule name -> syntactic rules carrying it."""
-        out: dict[str, list[SyntacticRule]] = {r.name: [] for r in self.semantics.rules}
-        for r in self.rules:
-            for m in r.meanings:
-                out[m].append(r)
-        return {m: tuple(rs) for m, rs in out.items()}
+    basic_by_name = property(lambda self: self.signature.leaf_by_name)
+    rule_by_name = property(lambda self: self.signature.op_by_name)
+    basics_by_category = property(lambda self: self.signature.leaves_by_sort)
+    rules_by_result = property(lambda self: self.signature.ops_by_result)
+    basics_with_meaning = property(lambda self: self.inverse_interpretation.leaves)
+    rules_with_meaning = property(lambda self: self.inverse_interpretation.ops)
 
 
 @dataclass(frozen=True)
@@ -163,35 +247,35 @@ class GrammarPair:
     target: CompositionalGrammar
 
 
-def _dup(kind: str, names) -> None:
-    seen = set()
-    for n in names:
-        if n in seen:
-            raise GrammarValidationError(f"duplicate {kind} '{n}'")
-        seen.add(n)
+def check_unique(kind: str, names, error=GrammarValidationError) -> None:
+    names = list(names)
+    if len(set(names)) < len(names):
+        first = next(n for i, n in enumerate(names) if n in names[:i])
+        raise error(f"duplicate {kind} '{first}'")
+
+
+def _validate_signature(sig: Signature) -> None:
+    """The checks both sides share: unique names, declared sorts, operators of arity >= 1."""
+    check_unique(sig.kind.sort, sig.sorts)
+    check_unique(sig.kind.leaf, (x.name for x in sig.leaves))
+    check_unique(sig.kind.op, (x.name for x in sig.ops))
+    sorts = set(sig.sorts)
+    for kind, symbols in ((sig.kind.leaf, sig.leaves), (sig.kind.op, sig.ops)):
+        for x in symbols:
+            for c in (*x.arg_list, x.result):
+                if c not in sorts:
+                    raise GrammarValidationError(f"{kind} '{x.name}' uses undeclared category '{c}'")
+    for op in sig.ops:
+        if not op.arg_list:
+            raise GrammarValidationError(
+                f"{sig.kind.op} '{op.name}' has arity 0; zero-argument constructs must be "
+                f"{sig.kind.leaf}s"
+            )
 
 
 def validate_semantics(sc: SemanticComponent) -> SemanticComponent:
     """Check all semantic-component invariants; return ``sc`` unchanged."""
-    _dup("semantic category", sc.categories)
-    _dup("basic meaning", (m.name for m in sc.meanings))
-    _dup("semantic rule", (r.name for r in sc.rules))
-    cats = set(sc.categories)
-    for m in sc.meanings:
-        if m.category not in cats:
-            raise GrammarValidationError(
-                f"basic meaning '{m.name}' uses undeclared semantic category '{m.category}'"
-            )
-    for r in sc.rules:
-        if r.arity < 1:
-            raise GrammarValidationError(
-                f"semantic rule '{r.name}' has arity 0; nullary combiners must be basic meanings"
-            )
-        for c in (*r.arg_list, r.result):
-            if c not in cats:
-                raise GrammarValidationError(
-                    f"semantic rule '{r.name}' uses undeclared semantic category '{c}'"
-                )
+    _validate_signature(sc.signature)
     return sc
 
 
@@ -242,44 +326,30 @@ def _check_unary_cycles(g: CompositionalGrammar) -> None:
 def validate_grammar(g: CompositionalGrammar) -> CompositionalGrammar:
     """Check all grammar invariants; return ``g`` unchanged."""
     validate_semantics(g.semantics)
-    _dup("syntactic category", g.categories)
-    _dup("name", (x.name for x in (*g.basics, *g.rules)))
-    cats = set(g.categories)
-    sc = g.semantics
+    # basics and rules share one namespace
+    check_unique("name", (x.name for x in (*g.basics, *g.rules)))
+    _validate_signature(g.signature)
     for b in g.basics:
-        if b.category not in cats:
-            raise GrammarValidationError(
-                f"basic expression '{b.name}' uses undeclared category '{b.category}'"
-            )
         if not b.surface:
             raise GrammarValidationError(f"basic expression '{b.name}' has an empty surface")
-        if not b.meanings:
-            raise GrammarValidationError(f"basic expression '{b.name}' has no meanings")
-        for m in b.meanings:
-            if m not in sc.meaning_by_name:
-                raise GrammarValidationError(
-                    f"basic expression '{b.name}' refers to unknown basic meaning '{m}'"
-                )
     for r in g.rules:
-        if r.arity < 1:
-            raise GrammarValidationError(
-                f"rule '{r.name}' has arity 0; zero-argument constructs must be basic expressions"
-            )
-        for c in (*r.arg_list, r.result):
-            if c not in cats:
-                raise GrammarValidationError(f"rule '{r.name}' uses undeclared category '{c}'")
         _check_template(r)
-        if not r.meanings:
-            raise GrammarValidationError(f"rule '{r.name}' has no associated semantic rules")
-        for m in r.meanings:
-            sem = sc.rule_by_name.get(m)
-            if sem is None:
-                raise GrammarValidationError(f"rule '{r.name}' refers to unknown semantic rule '{m}'")
-            if sem.arity != r.arity:
-                raise GrammarValidationError(
-                    f"rule '{r.name}' has arity {r.arity} but associated semantic rule "
-                    f"'{m}' has arity {sem.arity}"
-                )
+    # every interpretation link must name a semantic symbol of the same arity
+    sem = g.semantics.signature
+    for leaf, symbols in ((True, g.basics), (False, g.rules)):
+        what, sem_what = (SYNTAX.leaf, SEMANTICS.leaf) if leaf else (SYNTAX.op, SEMANTICS.op)
+        for x in symbols:
+            if not x.meanings:
+                raise GrammarValidationError(f"{what} '{x.name}' has no associated {sem_what}s")
+            for m in x.meanings:
+                target = (sem.leaf_by_name if leaf else sem.op_by_name).get(m)
+                if target is None:
+                    raise GrammarValidationError(f"{what} '{x.name}' refers to unknown {sem_what} '{m}'")
+                if len(target.arg_list) != len(x.arg_list):
+                    raise GrammarValidationError(
+                        f"{what} '{x.name}' has arity {len(x.arg_list)} but associated {sem_what} "
+                        f"'{m}' has arity {len(target.arg_list)}"
+                    )
     _check_unary_cycles(g)
     return g
 

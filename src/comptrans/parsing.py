@@ -17,7 +17,7 @@ chains, which bounds the iteration.
 import itertools
 import os
 
-from .errors import AmbiguityCapError, ComptransError, IllFormedTreeError, UnknownNameError
+from .errors import AmbiguityCapError, ComptransError, IllFormedTreeError
 from .model import CompositionalGrammar, SyntacticRule
 from .trees import SynLeaf, SynNode, SynTree, is_cfg_well_formed, tree_key
 
@@ -54,9 +54,10 @@ def morsyngen(g: CompositionalGrammar, t: SynTree) -> tuple[str, ...]:
 
 
 def _generate(g: CompositionalGrammar, t: SynTree) -> tuple[str, ...]:
-    if isinstance(t, SynLeaf):
-        return g.basic_by_name[t.basic].surface
-    rule = g.rule_by_name[t.rule]
+    sig = g.signature
+    if t.is_leaf:
+        return sig.leaf_by_name[t.name].surface
+    rule = sig.op_by_name[t.name]
     out: list[str] = []
     for item in rule.template:
         if isinstance(item, str):
@@ -131,8 +132,8 @@ def morsynan(
     """
     tokens = tuple(utterance)
     cap = max_trees if max_trees is not None else default_ambiguity_cap()
-    if category is not None and category not in set(g.categories):
-        raise UnknownNameError(f"grammar '{g.name}' declares no category '{category}'")
+    if category is not None:
+        g.signature.require_sort(category)
     n = len(tokens)
     if n == 0:
         return []

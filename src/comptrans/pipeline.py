@@ -3,27 +3,25 @@
 The semantic component acts as the interlingua: analysis maps a source
 derivation tree to all of its semantic derivation trees, generation maps a
 semantic derivation tree to all target syntactic derivation trees, and only
-then are the candidates filtered for CFG-well-formedness. All stages preserve
-tree geometry, and every stage output is fully materialized so a trace can be
-inspected.
+then are the candidates filtered for CFG-well-formedness. Analysis and
+generation are one relabelling, :func:`~comptrans.trees.relabel`, applied to
+a grammar's interpretation and to its inverse; both preserve tree geometry,
+and every stage output is fully materialized so a trace can be inspected.
+Whether a grammar realizes a semantic tree at all is decided bottom-up by
+:func:`realized_categories`, without generating candidates.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import UnknownNameError
 from .model import CompositionalGrammar, GrammarPair
 from .parsing import morsynan, morsyngen
 from .trees import (
-    SemLeaf,
-    SemNode,
     SemTree,
-    SynLeaf,
-    SynNode,
     SynTree,
     enumerate_syn_trees,
     is_cfg_well_formed,
     is_sem_well_typed,
+    relabel,
     tree_depth,
     tree_key,
 )
@@ -35,22 +33,7 @@ def seman(g: CompositionalGrammar, t: SynTree) -> list[SemTree]:
     Output trees share the geometry of ``t``; the result is never empty
     because interpretation sets are non-empty by construction.
     """
-    if isinstance(t, SynLeaf):
-        b = g.basic_by_name.get(t.basic)
-        if b is None:
-            raise UnknownNameError(f"grammar '{g.name}' has no basic expression '{t.basic}'")
-        return [SemLeaf(m) for m in b.meanings]
-    r = g.rule_by_name.get(t.rule)
-    if r is None:
-        raise UnknownNameError(f"grammar '{g.name}' has no rule '{t.rule}'")
-    child_sets = [seman(g, c) for c in t.children]
-    out = [
-        SemNode(m, combo)
-        for m in r.meanings
-        for combo in itertools.product(*child_sets)
-    ]
-    out.sort(key=tree_key)
-    return out
+    return relabel(g.interpretation, t)
 
 
 def semgen(g: CompositionalGrammar, d: SemTree) -> list[SynTree]:
@@ -60,21 +43,31 @@ def semgen(g: CompositionalGrammar, d: SemTree) -> list[SynTree]:
     empty result is a legal value and signals incompleteness of ``g`` for
     ``d``, not a failure.
     """
-    sc = g.semantics
-    if isinstance(d, SemLeaf):
-        if d.meaning not in sc.meaning_by_name:
-            raise UnknownNameError(f"semantic component '{sc.name}' has no basic meaning '{d.meaning}'")
-        return [SynLeaf(b.name) for b in g.basics_with_meaning[d.meaning]]
-    if d.rule not in sc.rule_by_name:
-        raise UnknownNameError(f"semantic component '{sc.name}' has no semantic rule '{d.rule}'")
-    child_sets = [semgen(g, c) for c in d.children]
-    out = [
-        SynNode(r.name, combo)
-        for r in g.rules_with_meaning[d.rule]
-        for combo in itertools.product(*child_sets)
-    ]
-    out.sort(key=tree_key)
-    return out
+    return relabel(g.inverse_interpretation, d)
+
+
+def realized_categories(g: CompositionalGrammar, d: SemTree) -> frozenset[str]:
+    """Categories of the CFG-well-formed trees of ``g`` that analyze to ``d``.
+
+    Equal to ``{syn_cat(g, t) for t in semgen(g, d) if is_cfg_well_formed(g, t)}``
+    but computed bottom-up in one pass over ``d``: a node is realized at the
+    result of every carrier of its symbol whose argument list the children
+    are realized at (a leaf's carriers are basics, with empty argument
+    lists). Raises :class:`UnknownNameError` on a name the semantic
+    component lacks.
+    """
+    carriers = g.inverse_interpretation
+
+    def go(d: SemTree) -> frozenset[str]:
+        images = carriers.images(d.name, d.is_leaf)
+        below = [go(c) for c in d.children]
+        return frozenset(
+            r.result
+            for r in images
+            if len(r.arg_list) == len(below) and all(a in cats for a, cats in zip(r.arg_list, below))
+        )
+
+    return go(d)
 
 
 @dataclass(frozen=True)
@@ -149,4 +142,4 @@ def well_formed_sem_trees(g: CompositionalGrammar, max_depth: int) -> list[SemTr
 
 def is_well_formed_sem_tree(g: CompositionalGrammar, d: SemTree) -> bool:
     """Correspondence-based well-formedness of one semantic derivation tree."""
-    return d in set(well_formed_sem_trees(g, tree_depth(d)))
+    return bool(realized_categories(g, d))

@@ -31,14 +31,9 @@ def envelope(command: str, **payload) -> dict:
 
 def violation_to_json(v: Violation) -> dict:
     doc = {"kind": v.kind, "message": v.message}
-    if v.source is not None:
-        doc["source"] = v.source
-    if v.meaning is not None:
-        doc["meaning"] = v.meaning
-    if v.rule is not None:
-        doc["rule"] = v.rule
-    if v.category is not None:
-        doc["category"] = v.category
+    for field in ("source", "meaning", "rule", "category"):
+        if getattr(v, field) is not None:
+            doc[field] = getattr(v, field)
     if v.arg_tuple is not None:
         doc["arg_tuple"] = list(v.arg_tuple)
     if v.sem_tree is not None:

@@ -1,5 +1,13 @@
 """Syntactic and semantic derivation trees.
 
+Both kinds share one shape: a node has a ``name`` and a tuple of
+``children``, and a leaf has ``children == ()``. ``is_leaf`` tells a leaf
+from an operator node with no children. The name reads as ``.basic`` on a
+syntactic leaf, ``.meaning`` on a semantic leaf and ``.rule`` on a node. Every
+function here works on either kind, given the grammar or semantic component
+whose :class:`~comptrans.model.Signature` the tree is written in; the
+``syn_*``/``sem_*`` names are aliases kept for the public API.
+
 Trees record derivational history only; the node types deliberately admit
 ill-formed trees (wrong child count, mismatched categories). Well-formedness
 is a separate check, and generation stages downstream rely on being able to
@@ -14,165 +22,140 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
-from .errors import ComptransError, UnknownNameError
-from .model import CompositionalGrammar, SemanticComponent
+from .errors import ComptransError
+from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, SemanticComponent
+
+Component = CompositionalGrammar | SemanticComponent
 
 
-@dataclass(frozen=True)
-class SynLeaf:
-    basic: str
+@dataclass(frozen=True, slots=True)
+class _Leaf:
+    name: str
+    children = ()
+    is_leaf = True
 
 
-@dataclass(frozen=True)
-class SynNode:
-    rule: str
-    children: tuple["SynTree", ...]
+@dataclass(frozen=True, slots=True)
+class _Node:
+    name: str
+    children: tuple
+    is_leaf = False
+    rule = property(attrgetter("name"))
+
+
+class SynLeaf(_Leaf):
+    __slots__ = ()
+    key = "basic"
+    basic = property(attrgetter("name"))
+
+
+class SynNode(_Node):
+    __slots__ = ()
+
+
+class SemLeaf(_Leaf):
+    __slots__ = ()
+    key = "meaning"
+    meaning = property(attrgetter("name"))
+
+
+class SemNode(_Node):
+    __slots__ = ()
 
 
 SynTree = SynLeaf | SynNode
-
-
-@dataclass(frozen=True)
-class SemLeaf:
-    meaning: str
-
-
-@dataclass(frozen=True)
-class SemNode:
-    rule: str
-    children: tuple["SemTree", ...]
-
-
 SemTree = SemLeaf | SemNode
-
 Tree = SynTree | SemTree
 
+#: the leaf and node types of trees written in each kind of signature
+TREE_TYPES = {SYNTAX: (SynLeaf, SynNode), SEMANTICS: (SemLeaf, SemNode)}
 
-def tree_name(t: Tree) -> str:
-    if isinstance(t, SynLeaf):
-        return t.basic
-    if isinstance(t, SemLeaf):
-        return t.meaning
-    return t.rule
-
-
-def tree_children(t: Tree) -> tuple:
-    return () if isinstance(t, (SynLeaf, SemLeaf)) else t.children
+tree_name = attrgetter("name")
+tree_children = attrgetter("children")
 
 
 def tree_key(t: Tree):
     """Sort key realizing the canonical order."""
-    return (tree_name(t), tuple(tree_key(c) for c in tree_children(t)))
+    return (t.name, tuple(map(tree_key, t.children)))
 
 
 def tree_depth(t: Tree) -> int:
     """Depth with leaves at 1."""
-    return 1 + max((tree_depth(c) for c in tree_children(t)), default=0)
+    return 1 + max(map(tree_depth, t.children), default=0)
 
 
-def syn_cat(g: CompositionalGrammar, t: SynTree) -> str:
-    """Category of a syntactic tree: read off the leaf or the top rule only."""
-    if isinstance(t, SynLeaf):
-        b = g.basic_by_name.get(t.basic)
-        if b is None:
-            raise UnknownNameError(f"grammar '{g.name}' has no basic expression '{t.basic}'")
-        return b.category
-    r = g.rule_by_name.get(t.rule)
-    if r is None:
-        raise UnknownNameError(f"grammar '{g.name}' has no rule '{t.rule}'")
-    return r.result
+def tree_category(c: Component, t: Tree) -> str:
+    """Category of a tree: read off the leaf or the top rule only."""
+    return c.signature.symbol(t.name, t.is_leaf).result
 
 
-def sem_cat(sc: SemanticComponent, d: SemTree) -> str:
-    """Category of a semantic tree, analogous to :func:`syn_cat`."""
-    if isinstance(d, SemLeaf):
-        m = sc.meaning_by_name.get(d.meaning)
-        if m is None:
-            raise UnknownNameError(f"semantic component '{sc.name}' has no basic meaning '{d.meaning}'")
-        return m.category
-    r = sc.rule_by_name.get(d.rule)
-    if r is None:
-        raise UnknownNameError(f"semantic component '{sc.name}' has no semantic rule '{d.rule}'")
-    return r.result
-
-
-def is_cfg_well_formed(g: CompositionalGrammar, t: SynTree) -> bool:
+def is_well_formed(c: Component, t: Tree) -> bool:
     """True iff every rule node's argument list equals its children's categories."""
-    if isinstance(t, SynLeaf):
-        syn_cat(g, t)  # raises on unknown name
-        return True
-    r = g.rule_by_name.get(t.rule)
-    if r is None:
-        raise UnknownNameError(f"grammar '{g.name}' has no rule '{t.rule}'")
-    if len(t.children) != r.arity:
-        for c in t.children:
-            syn_cat(g, c)
+    r = c.signature.symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
+    if len(t.children) != len(r.arg_list):
+        for child in t.children:
+            tree_category(c, child)
         return False
-    return all(syn_cat(g, c) == cat for c, cat in zip(t.children, r.arg_list)) and all(
-        is_cfg_well_formed(g, c) for c in t.children
+    return all(tree_category(c, ch) == cat for ch, cat in zip(t.children, r.arg_list)) and all(
+        is_well_formed(c, ch) for ch in t.children
     )
 
 
-def is_sem_well_typed(sc: SemanticComponent, d: SemTree) -> bool:
-    """True iff every rule node's argument list equals its children's categories."""
-    if isinstance(d, SemLeaf):
-        sem_cat(sc, d)
-        return True
-    r = sc.rule_by_name.get(d.rule)
-    if r is None:
-        raise UnknownNameError(f"semantic component '{sc.name}' has no semantic rule '{d.rule}'")
-    if len(d.children) != r.arity:
-        for c in d.children:
-            sem_cat(sc, c)
-        return False
-    return all(sem_cat(sc, c) == cat for c, cat in zip(d.children, r.arg_list)) and all(
-        is_sem_well_typed(sc, c) for c in d.children
-    )
+syn_cat = sem_cat = tree_category
+is_cfg_well_formed = is_sem_well_typed = is_well_formed
+
+
+def relabel(rel: Relabelling, t: Tree) -> list[Tree]:
+    """Every tree of ``t``'s shape whose node names are images of ``t``'s under ``rel``.
+
+    Node results come in canonical order; leaf results follow ``rel``.
+    """
+    make_leaf, make_node = TREE_TYPES[rel.target.kind]
+
+    def go(t: Tree) -> list[Tree]:
+        images = rel.images(t.name, t.is_leaf)
+        if t.is_leaf:
+            return [make_leaf(x.name) for x in images]
+        child_sets = [go(c) for c in t.children]
+        out = [make_node(x.name, combo) for x in images for combo in itertools.product(*child_sets)]
+        out.sort(key=tree_key)
+        return out
+
+    return go(t)
 
 
 # -- enumeration ------------------------------------------------------------
 #
-# One engine serves both tree kinds; the *_view functions adapt a grammar or
-# a semantic component to (leaves per category, rules per category,
-# constructors).
+# One engine serves both tree kinds; _view reads a signature as (leaves per
+# category, rules per category, tree constructors).
 
 
-def _syn_view(g: CompositionalGrammar):
-    leaves = {c: tuple(sorted(b.name for b in bs)) for c, bs in g.basics_by_category.items()}
-    rules = {
-        c: tuple(sorted((r.name, r.arg_list) for r in rs)) for c, rs in g.rules_by_result.items()
-    }
-    return leaves, rules, SynLeaf, SynNode
+def _view(c: Component, cat: str):
+    sig = c.signature
+    sig.require_sort(cat)
+    leaves = {s: tuple(sorted(x.name for x in xs)) for s, xs in sig.leaves_by_sort.items()}
+    rules = {s: tuple(sorted((r.name, r.arg_list) for r in rs)) for s, rs in sig.ops_by_result.items()}
+    return (leaves, rules, *TREE_TYPES[sig.kind])
 
 
-def _sem_view(sc: SemanticComponent):
-    leaves = {c: tuple(sorted(m.name for m in ms)) for c, ms in sc.meanings_by_category.items()}
-    rules = {
-        c: tuple(sorted((r.name, r.arg_list) for r in rs)) for c, rs in sc.rules_by_result.items()
-    }
-    return leaves, rules, SemLeaf, SemNode
-
-
-def _check_cat(cat: str, leaves: dict, owner: str) -> None:
-    if cat not in leaves:
-        raise UnknownNameError(f"{owner} declares no category '{cat}'")
-
-
-def _enumerate(view, cat: str, max_depth: int) -> list:
-    leaves, rules, make_leaf, make_node = view
+def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
+    """All well-formed trees of ``cat`` with depth <= ``max_depth``, canonical order."""
+    leaves, rules, make_leaf, make_node = _view(c, cat)
     if max_depth < 1:
         raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
     memo: dict[tuple[str, int], list] = {}
 
-    def trees(c: str, depth: int) -> list:
-        key = (c, depth)
+    def trees(sort: str, depth: int) -> list:
+        key = (sort, depth)
         got = memo.get(key)
         if got is not None:
             return got
-        out = [make_leaf(n) for n in leaves[c]]
+        out = [make_leaf(n) for n in leaves[sort]]
         if depth >= 2:
-            for name, args in rules[c]:
+            for name, args in rules[sort]:
                 for combo in itertools.product(*(trees(a, depth - 1) for a in args)):
                     out.append(make_node(name, combo))
         out.sort(key=tree_key)
@@ -182,22 +165,10 @@ def _enumerate(view, cat: str, max_depth: int) -> list:
     return trees(cat, max_depth)
 
 
-def enumerate_syn_trees(g: CompositionalGrammar, cat: str, max_depth: int) -> list[SynTree]:
-    """All CFG-well-formed trees of ``cat`` with depth <= ``max_depth``, canonical order."""
-    view = _syn_view(g)
-    _check_cat(cat, view[0], f"grammar '{g.name}'")
-    return _enumerate(view, cat, max_depth)
+enumerate_syn_trees = enumerate_sem_trees = enumerate_trees
 
 
-def enumerate_sem_trees(sc: SemanticComponent, cat: str, max_depth: int) -> list[SemTree]:
-    """All well-typed trees of ``cat`` with depth <= ``max_depth``, canonical order."""
-    view = _sem_view(sc)
-    _check_cat(cat, view[0], f"semantic component '{sc.name}'")
-    return _enumerate(view, cat, max_depth)
-
-
-def _min_depths(view) -> dict[str, int | None]:
-    leaves, rules, _, _ = view
+def _min_depths(leaves: dict, rules: dict) -> dict[str, int | None]:
     md: dict[str, int | None] = {c: (1 if leaves[c] else None) for c in leaves}
     changed = True
     while changed:
@@ -212,24 +183,22 @@ def _min_depths(view) -> dict[str, int | None]:
     return md
 
 
-def random_sem_tree(sc: SemanticComponent, cat: str, max_depth: int, seed: int) -> SemTree | None:
-    """One well-typed tree of ``cat`` with depth <= ``max_depth``, or None.
+def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree | None:
+    """One well-formed tree of ``cat`` with depth <= ``max_depth``, or None.
 
     Deterministic for a given seed; every returned tree is a member of
-    ``enumerate_sem_trees(sc, cat, max_depth)``.
+    ``enumerate_trees(c, cat, max_depth)``.
     """
-    view = _sem_view(sc)
-    leaves, rules, make_leaf, make_node = view
-    _check_cat(cat, leaves, f"semantic component '{sc.name}'")
-    md = _min_depths(view)
+    leaves, rules, make_leaf, make_node = _view(c, cat)
+    md = _min_depths(leaves, rules)
     if md[cat] is None or md[cat] > max_depth:
         return None
     rng = random.Random(seed)
 
-    def grow(c: str, budget: int) -> SemTree:
-        options: list[tuple[str, tuple[str, ...] | None]] = [(n, None) for n in leaves[c]]
+    def grow(sort: str, budget: int) -> Tree:
+        options: list[tuple[str, tuple[str, ...] | None]] = [(n, None) for n in leaves[sort]]
         if budget >= 2:
-            for name, args in rules[c]:
+            for name, args in rules[sort]:
                 if all(md[a] is not None and md[a] <= budget - 1 for a in args):
                     options.append((name, args))
         name, args = rng.choice(options)
@@ -250,12 +219,13 @@ _TREE_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 
 
 def format_tree(t: Tree) -> str:
-    if isinstance(t, (SynLeaf, SemLeaf)):
-        return tree_name(t)
-    return f"{tree_name(t)}({', '.join(format_tree(c) for c in tree_children(t))})"
+    if t.is_leaf:
+        return t.name
+    return f"{t.name}({', '.join(map(format_tree, t.children))})"
 
 
-def _parse_tree(text: str, make_leaf, make_node):
+def _parse_tree(text: str, types) -> Tree:
+    make_leaf, make_node = types
     tokens = _TREE_TOKEN_RE.findall(text)
     pos = 0
 
@@ -294,39 +264,25 @@ def _parse_tree(text: str, make_leaf, make_node):
     return result
 
 
-def parse_syn_tree(text: str) -> SynTree:
-    return _parse_tree(text, SynLeaf, SynNode)
-
-
-def parse_sem_tree(text: str) -> SemTree:
-    return _parse_tree(text, SemLeaf, SemNode)
-
-
 def tree_to_json(t: Tree) -> dict:
-    if isinstance(t, SynLeaf):
-        return {"basic": t.basic}
-    if isinstance(t, SemLeaf):
-        return {"meaning": t.meaning}
-    return {"rule": tree_name(t), "children": [tree_to_json(c) for c in tree_children(t)]}
+    if t.is_leaf:
+        return {t.key: t.name}
+    return {"rule": t.name, "children": [tree_to_json(c) for c in t.children]}
 
 
-def _tree_from_json(obj, leaf_field: str, make_leaf, make_node):
+def _tree_from_json(obj, types) -> Tree:
+    make_leaf, make_node = types
     if not isinstance(obj, dict):
         raise ComptransError(f"tree JSON must be an object, got {type(obj).__name__}")
-    if leaf_field in obj:
-        return make_leaf(obj[leaf_field])
+    if make_leaf.key in obj:
+        return make_leaf(obj[make_leaf.key])
     if "rule" in obj:
         children = obj.get("children", [])
-        return make_node(
-            obj["rule"],
-            tuple(_tree_from_json(c, leaf_field, make_leaf, make_node) for c in children),
-        )
-    raise ComptransError(f"tree JSON needs a '{leaf_field}' or 'rule' key: {obj!r}")
+        return make_node(obj["rule"], tuple(_tree_from_json(c, types) for c in children))
+    raise ComptransError(f"tree JSON needs a '{make_leaf.key}' or 'rule' key: {obj!r}")
 
 
-def syn_tree_from_json(obj) -> SynTree:
-    return _tree_from_json(obj, "basic", SynLeaf, SynNode)
-
-
-def sem_tree_from_json(obj) -> SemTree:
-    return _tree_from_json(obj, "meaning", SemLeaf, SemNode)
+parse_syn_tree = partial(_parse_tree, types=TREE_TYPES[SYNTAX])
+parse_sem_tree = partial(_parse_tree, types=TREE_TYPES[SEMANTICS])
+syn_tree_from_json = partial(_tree_from_json, types=TREE_TYPES[SYNTAX])
+sem_tree_from_json = partial(_tree_from_json, types=TREE_TYPES[SEMANTICS])

@@ -4,11 +4,25 @@ These deliberately avoid the library's algorithms: enumeration is layered
 bottom-up construction (the library recurses top-down with memoization), and
 the parse oracle inverts generation by exhaustive search instead of chart
 parsing. They are only meant to be obviously correct at fixture scale.
+
+The two realizability references at the end are the generate-then-filter
+algorithms the library used before it decided realizability bottom-up.
 """
 
 import itertools
 
-from comptrans import SemLeaf, SemNode, SynLeaf, SynNode, seman
+from comptrans import (
+    SemLeaf,
+    SemNode,
+    SynLeaf,
+    SynNode,
+    is_cfg_well_formed,
+    seman,
+    semgen,
+    syn_cat,
+    tree_depth,
+    well_formed_sem_trees,
+)
 
 
 def naive_syn_trees(grammar, category, max_depth):
@@ -85,3 +99,13 @@ def shared_wellformed_sem_trees(pair, source_utt, target_utt, max_depth):
         for d in seman(pair.target, t)
     }
     return src & tgt
+
+
+def well_formed_by_enumeration(grammar, d):
+    """Is ``d`` among the well-formed semantic trees of ``grammar`` up to its depth?"""
+    return d in set(well_formed_sem_trees(grammar, tree_depth(d)))
+
+
+def realized_categories_by_generation(grammar, d):
+    """Categories of the well-formed candidates that semantic generation builds for ``d``."""
+    return {syn_cat(grammar, t) for t in semgen(grammar, d) if is_cfg_well_formed(grammar, t)}

@@ -273,3 +273,32 @@ def test_byte_identical_output_across_runs():
             first = run_cli(*argv, "--format", fmt)
             second = run_cli(*argv, "--format", fmt)
             assert first == second, argv
+
+
+LIST_GRAMMAR = """
+semantics list-sem
+  semcat Ibar Lbar
+  meaning a : Ibar
+  mrule P : ( Ibar Lbar ) -> Lbar
+  mrule Q : ( Ibar ) -> Lbar
+
+grammar list uses list-sem
+  syncat I L
+  basic a : I = "a" => a
+  rule R1 : ( I L ) -> L = $1 $2 => P
+  rule R0 : ( I ) -> L = $1 "." => Q
+"""
+
+
+def test_tree_deeper_than_recursion_limit_is_a_resource_error(tmp_path):
+    # one right-recursive parse, 400 levels deep
+    (tmp_path / "list.cg").write_text(LIST_GRAMMAR)
+    pair = tmp_path / "list.cgp"
+    pair.write_text("semantics list.cg\nsource list.cg\ntarget list.cg\n")
+    utterance = " ".join(["a"] * 399 + ["."])
+    code, out, err = run_cli("translate", pair, "--utterance", utterance, "--cap", "1000000")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion limit" in err
