@@ -9,8 +9,8 @@ Three pairs, three outcomes:
                    and nouns by gender) but passes the labeled set-valued
                    condition.
 * enfr-np-broken   drops the feminine noun-phrase rule. The static check
-                   pinpoints the uncovered tuple, and a bounded exhaustive
-                   search produces a concrete semantic tree with no
+                   pinpoints the uncovered tuple, and the witness search
+                   produces the smallest semantic tree with no
                    translation.
 
 Run from the repository root:  python3 demos/checking_completeness.py

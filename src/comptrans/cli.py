@@ -247,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("witness", _cmd_witness, "search for a semantic tree with no translation")
     p.add_argument("path", metavar="PAIR.cgp")
-    p.add_argument("--depth", type=_positive_int, default=6)
+    p.add_argument(
+        "--depth",
+        type=_positive_int,
+        default=6,
+        help="depth bound for the witness; the search stops sooner once no witness can exist at any depth",
+    )
 
     p = command("enumerate", _cmd_enumerate, "enumerate or sample derivation trees")
     grammar_file_options(p, "FILE.cg")

@@ -1,4 +1,4 @@
-"""Static completeness checkers and the bounded incompleteness witness search.
+"""Static completeness checkers and the incompleteness witness search.
 
 The checks answer one question from different angles: given a grammar pair,
 is every well-formed source semantic derivation tree guaranteed at least one
@@ -14,9 +14,11 @@ well-formed target utterance?
   argument tuple.
 * ``validate_labels`` refutes (up to a depth bound) conjunctive labels the
   target grammar cannot honor.
-* ``find_incompleteness_witness`` is the ground truth at bounded depth: an
-  exhaustive search for a well-formed source semantic derivation tree with no
-  translation.
+* ``find_incompleteness_witness`` is the ground truth: a bottom-up fixpoint
+  over the states (source categories, target categories) of semantic trees
+  finds the smallest well-formed source semantic derivation tree with no
+  translation. Once no new state appears, it has proved that none exists at
+  any depth.
 
 A passing static check is a proof (for n1) or proof-shaped evidence (for nn,
 whose labels are validated only up to a bound); a witness is always a real
@@ -28,10 +30,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CorrespondenceError, TupleCapError
+from .errors import ComptransError, CorrespondenceError, TupleCapError
 from .model import CompositionalGrammar, GrammarPair
-from .pipeline import realized_categories, translate_sem, well_formed_sem_trees
-from .trees import SemTree, enumerate_sem_trees, format_tree
+from .pipeline import realize_node, realized_categories
+from .trees import SemLeaf, SemNode, SemTree, enumerate_sem_trees, format_tree
+
+# Unused here; bench/tracing.py times the calls made through these names, so
+# they stay bound in this module.
+from .pipeline import translate_sem, well_formed_sem_trees  # noqa: F401
 
 CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
@@ -426,14 +432,56 @@ def validate_labels(
 def find_incompleteness_witness(pair: GrammarPair, max_depth: int) -> SemTree | None:
     """Smallest well-formed source semantic derivation tree with no translation.
 
-    Exhaustive up to ``max_depth``; candidates are tried smallest depth
-    first, then in canonical order, so the returned witness is stable and
-    minimal. None means every candidate translated.
+    A fixpoint over states, not trees: the state of a semantic tree is
+    ``(S, R)``, the source and the target categories that realize it (see
+    :func:`~comptrans.pipeline.realized_categories`). The tree is derivable
+    when ``S`` is non-empty and untranslatable when ``R`` is empty. Round
+    ``k`` applies every semantic rule to the states of round ``k - 1`` and
+    keeps each state's least tree in canonical order, which, that order
+    being lexicographic, is a root over its children's least trees.
+
+    The result is the least untranslatable tree of the first round that has
+    one: the witness a smallest-depth-first, canonical-order search through
+    every candidate up to ``max_depth`` finds. None means no witness up to
+    ``max_depth``; when a round adds no new state first, the states are
+    saturated and None holds at every depth.
     """
-    for d in well_formed_sem_trees(pair.source, max_depth):
-        if not translate_sem(pair, d):
-            return d
-    return None
+    if max_depth < 1:
+        raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
+    sem = pair.source.semantics.signature
+    src, tgt = pair.source.inverse_interpretation, pair.target.inverse_interpretation
+    # (S, R) -> (tree_key, tree) of the least tree of that state found so far
+    best: dict[tuple[frozenset[str], frozenset[str]], tuple] = {}
+
+    def offer(found: dict, name: str, leaf: bool, children) -> None:
+        # children holds one ((S, R), (tree_key, tree)) item per argument
+        s_cats = realize_node(src.images(name, leaf), [s for (s, _), _ in children])
+        if not s_cats:
+            return
+        state = (s_cats, realize_node(tgt.images(name, leaf), [r for (_, r), _ in children]))
+        key = (name, tuple(k for _, (k, _) in children))
+        if state not in found or key < found[state][0]:
+            tree = SemLeaf(name) if leaf else SemNode(name, tuple(t for _, (_, t) in children))
+            found[state] = (key, tree)
+
+    for m in sem.leaves:
+        offer(best, m.name, True, ())
+    for depth in itertools.count(1):
+        lost = [entry for (_, r), entry in best.items() if not r]
+        if lost:
+            return min(lost)[1]  # keys differ: a tree has one state
+        if depth == max_depth:
+            return None
+        grown = dict(best)
+        for op in sem.ops:
+            # a child can only fit an argument some source carrier accepts there
+            fits = zip(*(r.arg_list for r in src.images(op.name, False)))
+            pools = [[item for item in best.items() if item[0][0] & set(cats)] for cats in fits]
+            for children in itertools.product(*pools):
+                offer(grown, op.name, False, children)
+        if len(grown) == len(best):
+            return None
+        best = grown
 
 
 def witness_report(pair: GrammarPair, max_depth: int) -> CompletenessReport:

@@ -59,15 +59,23 @@ def realized_categories(g: CompositionalGrammar, d: SemTree) -> frozenset[str]:
     carriers = g.inverse_interpretation
 
     def go(d: SemTree) -> frozenset[str]:
-        images = carriers.images(d.name, d.is_leaf)
-        below = [go(c) for c in d.children]
-        return frozenset(
-            r.result
-            for r in images
-            if len(r.arg_list) == len(below) and all(a in cats for a, cats in zip(r.arg_list, below))
-        )
+        return realize_node(carriers.images(d.name, d.is_leaf), [go(c) for c in d.children])
 
     return go(d)
+
+
+def realize_node(images, below) -> frozenset[str]:
+    """Categories a node is realized at, one step of :func:`realized_categories`.
+
+    ``images`` are the carriers of the node's symbol and ``below`` the
+    categories each child is realized at; the node is realized at the result
+    of every carrier whose argument list the children fit.
+    """
+    return frozenset(
+        r.result
+        for r in images
+        if len(r.arg_list) == len(below) and all(a in cats for a, cats in zip(r.arg_list, below))
+    )
 
 
 @dataclass(frozen=True)

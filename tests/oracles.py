@@ -6,7 +6,9 @@ the parse oracle inverts generation by exhaustive search instead of chart
 parsing. They are only meant to be obviously correct at fixture scale.
 
 The two realizability references at the end are the generate-then-filter
-algorithms the library used before it decided realizability bottom-up.
+algorithms the library used before it decided realizability bottom-up, and
+the witness reference is the enumerate-then-translate search it used before
+it decided completeness over states.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from comptrans import (
     seman,
     semgen,
     syn_cat,
+    translate_sem,
     tree_depth,
     well_formed_sem_trees,
 )
@@ -109,3 +112,11 @@ def well_formed_by_enumeration(grammar, d):
 def realized_categories_by_generation(grammar, d):
     """Categories of the well-formed candidates that semantic generation builds for ``d``."""
     return {syn_cat(grammar, t) for t in semgen(grammar, d) if is_cfg_well_formed(grammar, t)}
+
+
+def witness_by_enumeration(pair, max_depth):
+    """First source-derivable semantic tree, smallest depth then canonical order, with no translation."""
+    for d in well_formed_sem_trees(pair.source, max_depth):
+        if not translate_sem(pair, d):
+            return d
+    return None
