@@ -50,7 +50,7 @@ def main():
     enfr = load_pair(FIXTURES / "enfr-np.cgp")
     print("one-to-one condition:", check_n1_completeness(enfr.pair).verdict, "(gender split)")
     print("labeled set condition:", check_nn_completeness(enfr.pair, enfr.correspondence).verdict)
-    print("label validation (depth 6):", validate_labels(enfr.pair, enfr.correspondence).verdict)
+    print("label validation (exact, states saturate):", validate_labels(enfr.pair, enfr.correspondence).verdict)
 
     # the exhaustive bounded check agrees with the static verdict
     trees = well_formed_sem_trees(enfr.pair.source, 4)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .completeness import (
+    DEFAULT_LABEL_DEPTH,
     check_homomorphism,
     check_n1_completeness,
     check_nn_completeness,
@@ -236,23 +237,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="show every intermediate stage")
     p.add_argument("--cap", type=_positive_int, help="ambiguity cap (default 10000)")
 
+    def pair_options(p, bounded: str) -> None:
+        p.add_argument("path", metavar="PAIR.cgp")
+        p.add_argument(
+            "--depth",
+            type=_positive_int,
+            default=DEFAULT_LABEL_DEPTH,
+            help=f"depth bound for {bounded}; the search stops sooner once the states saturate",
+        )
+
     p = command("check", _cmd_check, "static completeness conditions for a grammar pair")
-    p.add_argument("path", metavar="PAIR.cgp")
     p.add_argument(
         "--condition",
         choices=["homomorphism", "n1", "nn", "labels"],
         help="default: nn when the pair declares correspondences, else n1",
     )
-    p.add_argument("--depth", type=_positive_int, default=6, help="depth bound for labels")
+    pair_options(p, "labels")
 
     p = command("witness", _cmd_witness, "search for a semantic tree with no translation")
-    p.add_argument("path", metavar="PAIR.cgp")
-    p.add_argument(
-        "--depth",
-        type=_positive_int,
-        default=6,
-        help="depth bound for the witness; the search stops sooner once no witness can exist at any depth",
-    )
+    pair_options(p, "the witness")
 
     p = command("enumerate", _cmd_enumerate, "enumerate or sample derivation trees")
     grammar_file_options(p, "FILE.cg")

@@ -12,17 +12,15 @@ well-formed target utterance?
 * ``check_nn_completeness`` relaxes that to category correspondence sets with
   conjunctive/disjunctive labels and checks coverage of every disjunctive
   argument tuple.
-* ``validate_labels`` refutes (up to a depth bound) conjunctive labels the
-  target grammar cannot honor.
-* ``find_incompleteness_witness`` is the ground truth: a bottom-up fixpoint
-  over the states (source categories, target categories) of semantic trees
-  finds the smallest well-formed source semantic derivation tree with no
-  translation. Once no new state appears, it has proved that none exists at
-  any depth.
+* ``validate_labels`` refutes the conjunctive labels the target grammar
+  cannot honor, and ``find_incompleteness_witness``, the ground truth, finds
+  the smallest well-formed source semantic derivation tree with no
+  translation. Both run one bottom-up fixpoint over the states of semantic
+  trees, the categories that realize them; once no new state appears, the
+  answer holds at every depth.
 
-A passing static check is a proof (for n1) or proof-shaped evidence (for nn,
-whose labels are validated only up to a bound); a witness is always a real
-counterexample.
+A passing n1 check is a proof, and so is a passing nn check whose labels pass
+with the states saturated; a witness is always a real counterexample.
 """
 
 import itertools
@@ -31,13 +29,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ComptransError, CorrespondenceError, TupleCapError
-from .model import CompositionalGrammar, GrammarPair
-from .pipeline import realize_node, realized_categories
-from .trees import SemLeaf, SemNode, SemTree, enumerate_sem_trees, format_tree
+from .model import CompositionalGrammar, GrammarPair, Relabelling, Signature
+from .pipeline import realize_node
+from .trees import SemLeaf, SemNode, SemTree, format_tree
 
 # Unused here; bench/tracing.py times the calls made through these names, so
 # they stay bound in this module.
 from .pipeline import translate_sem, well_formed_sem_trees  # noqa: F401
+from .trees import enumerate_sem_trees  # noqa: F401
 
 CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
@@ -381,8 +380,7 @@ def check_nn_completeness(
 ) -> CompletenessReport:
     """Completeness via homomorphism plus a labeled N-N category correspondence.
 
-    The declared labels themselves are only refutable up to a depth bound;
-    run :func:`validate_labels` alongside this check.
+    The declared labels are assumed; :func:`validate_labels` decides them.
     """
     _require_coverage(pair, corr)
     hom = check_homomorphism(pair)
@@ -397,91 +395,90 @@ def validate_labels(
     corr: CategoryCorrespondence,
     max_depth: int = DEFAULT_LABEL_DEPTH,
 ) -> CompletenessReport:
-    """Bounded refutation of the declared conjunctive labels.
+    """Refutation of the declared conjunctive labels, decided over states.
 
-    For every well-typed semantic derivation tree of a conjunctive category
-    (up to ``max_depth``), the target grammar must generate a well-formed
-    tree of every category in the correspondence set. Passing is evidence,
-    not proof: deeper trees are not examined.
+    Every well-typed semantic tree of a conjunctive category must have a
+    well-formed target realization at every category of its correspondence
+    set. Each failing state (category, target categories realizing the tree)
+    is reported once per missing category, with its least tree by depth and
+    then canonical order; a pass is exact once the states saturate.
     """
     _require_coverage(pair, corr)
-    tgt = pair.target
-    sc = tgt.semantics
-    violations: list[Violation] = []
-    for sem_cat, entry in corr.entries:
-        if entry.label != CONJUNCTIVE or sem_cat not in set(sc.categories):
-            continue
-        for d in enumerate_sem_trees(sc, sem_cat, max_depth):
-            realized = realized_categories(tgt, d)
-            for wanted in entry.categories:
-                if wanted not in realized:
-                    violations.append(
-                        Violation(
-                            kind="label",
-                            message=(
-                                f"'{sem_cat}' is labeled conjunctive but {format_tree(d)} has no "
-                                f"well-formed target realization of category '{wanted}'"
-                            ),
-                            category=wanted,
-                            sem_tree=d,
-                        )
-                    )
-    return CompletenessReport(condition="labels", violations=tuple(violations))
+    sem = pair.target.semantics.signature
+    # the identity relabelling realizes exactly the well-typed trees, each at its category
+    identity = Relabelling(sem, sem, {m.name: (m,) for m in sem.leaves}, {r.name: (r,) for r in sem.ops})
+    rounds = _state_rounds(sem, identity, pair.target.inverse_interpretation, max_depth)
+    states = sorted((*s, k, r, d) for new in rounds for (s, r), (k, d) in new.items())
+    violations = tuple(
+        Violation(
+            kind="label",
+            message=(
+                f"'{sem_cat}' is labeled conjunctive but {format_tree(d)} has no "
+                f"well-formed target realization of category '{wanted}'"
+            ),
+            category=wanted,
+            sem_tree=d,
+        )
+        for sem_cat, _, realized, d in states
+        if corr.label_for(sem_cat) == CONJUNCTIVE
+        for wanted in corr.categories_for(sem_cat)
+        if wanted not in realized
+    )
+    return CompletenessReport(condition="labels", violations=violations)
+
+
+def _state_rounds(sig: Signature, left, right, max_depth: int):
+    """Round by round, the states first reached by trees over ``sig``.
+
+    The state of a tree is ``(S, R)``, the categories ``left`` and ``right``
+    realize it at; trees with an empty ``S`` are dropped. Round ``k`` maps each
+    new state to ``(tree_key, tree)`` of its least tree, of depth ``k``: a root
+    over its children's least trees, the canonical order being lexicographic.
+    The rounds stop after ``max_depth``, or after one adding no state, when no
+    tree of any depth has a state not yet yielded.
+    """
+    if max_depth < 1:
+        raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
+    best: dict = {}  # (S, R) -> (tree_key, tree) of the least tree of that state found so far
+    for _ in range(max_depth):
+        grown = dict(best)
+        leaf = not best  # the first round builds the leaves, every later one the operators
+        for x in sig.leaves if leaf else sig.ops:
+            carriers, images = left.images(x.name, leaf), right.images(x.name, leaf)
+            # a child can only fit an argument some carrier accepts there
+            fits = zip(*(c.arg_list for c in carriers))
+            pools = [[item for item in best.items() if item[0][0] & set(cats)] for cats in fits]
+            # children holds one ((S, R), (tree_key, tree)) item per argument
+            for children in itertools.product(*pools):
+                s_cats = realize_node(carriers, [s for (s, _), _ in children])
+                if not s_cats:
+                    continue
+                state = (s_cats, realize_node(images, [r for (_, r), _ in children]))
+                key = (x.name, tuple(k for _, (k, _) in children))
+                if state not in grown or key < grown[state][0]:
+                    subtrees = tuple(t for _, (_, t) in children)
+                    grown[state] = (key, SemLeaf(x.name) if leaf else SemNode(x.name, subtrees))
+        new = {state: entry for state, entry in grown.items() if state not in best}
+        if not new:
+            return
+        yield new
+        best = grown
 
 
 def find_incompleteness_witness(pair: GrammarPair, max_depth: int) -> SemTree | None:
     """Smallest well-formed source semantic derivation tree with no translation.
 
-    A fixpoint over states, not trees: the state of a semantic tree is
-    ``(S, R)``, the source and the target categories that realize it (see
-    :func:`~comptrans.pipeline.realized_categories`). The tree is derivable
-    when ``S`` is non-empty and untranslatable when ``R`` is empty. Round
-    ``k`` applies every semantic rule to the states of round ``k - 1`` and
-    keeps each state's least tree in canonical order, which, that order
-    being lexicographic, is a root over its children's least trees.
-
-    The result is the least untranslatable tree of the first round that has
-    one: the witness a smallest-depth-first, canonical-order search through
-    every candidate up to ``max_depth`` finds. None means no witness up to
-    ``max_depth``; when a round adds no new state first, the states are
-    saturated and None holds at every depth.
+    The least tree, by depth and then canonical order, whose state (source
+    categories, target categories) has no target category. None means no
+    witness up to ``max_depth``, or at any depth when the states saturate.
     """
-    if max_depth < 1:
-        raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
-    sem = pair.source.semantics.signature
-    src, tgt = pair.source.inverse_interpretation, pair.target.inverse_interpretation
-    # (S, R) -> (tree_key, tree) of the least tree of that state found so far
-    best: dict[tuple[frozenset[str], frozenset[str]], tuple] = {}
-
-    def offer(found: dict, name: str, leaf: bool, children) -> None:
-        # children holds one ((S, R), (tree_key, tree)) item per argument
-        s_cats = realize_node(src.images(name, leaf), [s for (s, _), _ in children])
-        if not s_cats:
-            return
-        state = (s_cats, realize_node(tgt.images(name, leaf), [r for (_, r), _ in children]))
-        key = (name, tuple(k for _, (k, _) in children))
-        if state not in found or key < found[state][0]:
-            tree = SemLeaf(name) if leaf else SemNode(name, tuple(t for _, (_, t) in children))
-            found[state] = (key, tree)
-
-    for m in sem.leaves:
-        offer(best, m.name, True, ())
-    for depth in itertools.count(1):
-        lost = [entry for (_, r), entry in best.items() if not r]
+    src, tgt = pair.source, pair.target
+    sem = src.semantics.signature
+    for new in _state_rounds(sem, src.inverse_interpretation, tgt.inverse_interpretation, max_depth):
+        lost = [entry for (_, r), entry in new.items() if not r]
         if lost:
             return min(lost)[1]  # keys differ: a tree has one state
-        if depth == max_depth:
-            return None
-        grown = dict(best)
-        for op in sem.ops:
-            # a child can only fit an argument some source carrier accepts there
-            fits = zip(*(r.arg_list for r in src.images(op.name, False)))
-            pools = [[item for item in best.items() if item[0][0] & set(cats)] for cats in fits]
-            for children in itertools.product(*pools):
-                offer(grown, op.name, False, children)
-        if len(grown) == len(best):
-            return None
-        best = grown
+    return None
 
 
 def witness_report(pair: GrammarPair, max_depth: int) -> CompletenessReport:

@@ -7,17 +7,22 @@ parsing. They are only meant to be obviously correct at fixture scale.
 
 The two realizability references at the end are the generate-then-filter
 algorithms the library used before it decided realizability bottom-up, and
-the witness reference is the enumerate-then-translate search it used before
-it decided completeness over states.
+the witness and labels references are the enumerate-then-decide searches it
+used before it decided completeness and conjunctive labels over states.
 """
 
 import itertools
 
 from comptrans import (
+    CONJUNCTIVE,
+    CompletenessReport,
     SemLeaf,
     SemNode,
     SynLeaf,
     SynNode,
+    Violation,
+    enumerate_sem_trees,
+    format_tree,
     is_cfg_well_formed,
     seman,
     semgen,
@@ -26,6 +31,7 @@ from comptrans import (
     tree_depth,
     well_formed_sem_trees,
 )
+from comptrans.pipeline import realized_categories
 
 
 def naive_syn_trees(grammar, category, max_depth):
@@ -120,3 +126,35 @@ def witness_by_enumeration(pair, max_depth):
         if not translate_sem(pair, d):
             return d
     return None
+
+
+def labels_by_enumeration(pair, corr, max_depth):
+    """Every well-typed semantic tree of a conjunctive category up to ``max_depth``, one by one.
+
+    Reports each tree that lacks a well-formed target realization at a
+    category of its correspondence set, by semantic category, then canonical
+    tree order, then wanted category. ``corr`` must cover the semantic
+    categories and name only target categories.
+    """
+    tgt = pair.target
+    sc = tgt.semantics
+    violations = []
+    for sem_cat, entry in corr.entries:
+        if entry.label != CONJUNCTIVE or sem_cat not in set(sc.categories):
+            continue
+        for d in enumerate_sem_trees(sc, sem_cat, max_depth):
+            realized = realized_categories(tgt, d)
+            for wanted in entry.categories:
+                if wanted not in realized:
+                    violations.append(
+                        Violation(
+                            kind="label",
+                            message=(
+                                f"'{sem_cat}' is labeled conjunctive but {format_tree(d)} has no "
+                                f"well-formed target realization of category '{wanted}'"
+                            ),
+                            category=wanted,
+                            sem_tree=d,
+                        )
+                    )
+    return CompletenessReport(condition="labels", violations=tuple(violations))

@@ -14,7 +14,22 @@ import time
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from comptrans import SemLeaf, SemNode, find_incompleteness_witness, tree_depth, validate_pair
+from comptrans import (
+    BasicExpression,
+    BasicMeaning,
+    CompositionalGrammar,
+    SemanticComponent,
+    SemLeaf,
+    SemNode,
+    SemRule,
+    SyntacticRule,
+    find_incompleteness_witness,
+    format_tree,
+    tree_depth,
+    validate_grammar,
+    validate_pair,
+    validate_semantics,
+)
 from oracles import witness_by_enumeration
 from test_cli import run_cli
 from test_random_grammars import MAX_SEM_TREES, random_component, random_grammar
@@ -93,3 +108,52 @@ def test_deep_bound_is_exact_on_fixtures(enfr_broken, enfr_masc):
         "M1", (SemLeaf("def"), SemLeaf("house"))
     )
     assert find_incompleteness_witness(enfr_masc.pair, DEEP) is None
+
+
+def chain_pair(seed: int):
+    """A pair whose semantic rules are unary and chain the categories K0 -> K1 -> ... -> Kn.
+
+    Each link has one or two rules. The target realizes every category in two
+    variants, X and Y, chosen per basic meaning, and one rule into K3 or above
+    has a target carrier for X only, so every witness is a chain over a Y meaning
+    through that rule: depth 4 or more, and the least of several such chains
+    once a link below it has two rules or several meanings are Y.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    meanings = tuple(BasicMeaning(f"m{i}", "K0") for i in range(1, rng.randint(2, 4) + 1))
+    links = [(i, f"F{i}{s}") for i in range(1, n + 1) for s in "ab"[: rng.randint(1, 2)]]
+    rules = tuple(SemRule(name, (f"K{i - 1}",), f"K{i}") for i, name in links)
+    sc = validate_semantics(SemanticComponent("chain-sem", tuple(f"K{i}" for i in range(n + 1)), meanings, rules))
+    gap = rng.choice([name for i, name in links if i >= 3])
+    y_meanings = set(rng.sample([m.name for m in meanings], rng.randint(1, len(meanings))))
+
+    def grammar(name, variants):
+        cats = tuple(f"{v}{i}" for v in variants for i in range(n + 1))
+        variant = {m.name: variants[-1] if m.name in y_meanings else variants[0] for m in meanings}
+        basics = tuple(BasicExpression(f"b{m}", f"{v}0", ("u",), (m,)) for m, v in variant.items())
+        syn_rules = tuple(
+            SyntacticRule(f"{v}{r}", (f"{v}{i - 1}",), f"{v}{i}", (1, "v"), (r,))
+            for v in variants
+            for i, r in links
+            if not (v == "Y" and r == gap)
+        )
+        return validate_grammar(CompositionalGrammar(name, cats, basics, syn_rules, sc))
+
+    return validate_pair(grammar("src", "A"), grammar("tgt", "XY"))
+
+
+# a depth-7 witness, F6b(F5a(F4a(F3a(F2a(F1a(m2)))))): the gap is the second
+# rule into K6, two links below it have two rules, and m2 is the lesser of the
+# two Y meanings while m1 is X
+CHAIN_SEED = 27
+
+
+def test_deep_chain_witness_matches_enumeration():
+    pair = chain_pair(CHAIN_SEED)
+    # the chain's trees are at most n + 1 deep, so the deep enumeration is exhaustive
+    expected = witness_by_enumeration(pair, DEEP)
+    assert tree_depth(expected) >= 4
+    assert format_tree(expected) == "F6b(F5a(F4a(F3a(F2a(F1a(m2))))))"
+    for depth in (tree_depth(expected) - 1, tree_depth(expected), DEEP):
+        assert find_incompleteness_witness(pair, depth) == witness_by_enumeration(pair, depth)
