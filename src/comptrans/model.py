@@ -12,6 +12,7 @@ enforced by :func:`validate_grammar` / :func:`validate_semantics`, which the
 file loader calls on everything it returns.
 """
 
+import graphlib
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -231,12 +232,33 @@ class CompositionalGrammar:
         """Each basic meaning and semantic rule -> the basic expressions or rules carrying it."""
         return self.interpretation.inverse()
 
+    @cached_property
+    def parse_order(self) -> tuple[SyntacticRule, ...]:
+        """The rules, each unary terminal-free rule after every rule that derives its argument.
+
+        A rule whose template is a bare placeholder derives a category from
+        another one over the same token span, so running the rules once in
+        this order closes a span. A cycle of such rules gives some utterance
+        infinitely many derivation trees and raises
+        :class:`GrammarValidationError`.
+        """
+        sorter = graphlib.TopologicalSorter()
+        for r in self.rules:
+            unary = len(r.template) == 1 and isinstance(r.template[0], int)
+            sorter.add(r, *(self.rules_by_result[r.arg_list[0]] if unary else ()))
+        try:
+            return tuple(sorter.static_order())
+        except graphlib.CycleError as err:
+            cycle = err.args[1]  # each rule derives the argument of the next; first == last
+            raise GrammarValidationError(
+                "unary terminal-free rule cycle through categories "
+                + " -> ".join(r.arg_list[0] for r in cycle)
+                + f" (rule '{cycle[-2].name}')"
+            ) from None
+
     basic_by_name = property(lambda self: self.signature.leaf_by_name)
     rule_by_name = property(lambda self: self.signature.op_by_name)
-    basics_by_category = property(lambda self: self.signature.leaves_by_sort)
     rules_by_result = property(lambda self: self.signature.ops_by_result)
-    basics_with_meaning = property(lambda self: self.inverse_interpretation.leaves)
-    rules_with_meaning = property(lambda self: self.inverse_interpretation.ops)
 
 
 @dataclass(frozen=True)
@@ -294,35 +316,6 @@ def _check_template(rule: SyntacticRule) -> None:
             raise GrammarValidationError(f"rule '{rule.name}': placeholder ${i} appears {n} times in template")
 
 
-def _check_unary_cycles(g: CompositionalGrammar) -> None:
-    # Rules whose template is a bare placeholder derive a category from
-    # another category over the identical token span; a cycle of them gives
-    # some utterance infinitely many derivation trees.
-    edges: dict[str, list[tuple[str, str]]] = {}
-    for r in g.rules:
-        if len(r.template) == 1 and isinstance(r.template[0], int):
-            edges.setdefault(r.result, []).append((r.arg_list[0], r.name))
-    color: dict[str, int] = {}  # 0 on stack, 1 done
-
-    def visit(cat: str, path: list[str]) -> None:
-        color[cat] = 0
-        for nxt, rule_name in edges.get(cat, ()):
-            if color.get(nxt) == 0:
-                cycle = path[path.index(nxt):] if nxt in path else path
-                raise GrammarValidationError(
-                    "unary terminal-free rule cycle through categories "
-                    + " -> ".join([*cycle, nxt])
-                    + f" (rule '{rule_name}')"
-                )
-            if nxt not in color:
-                visit(nxt, path + [nxt])
-        color[cat] = 1
-
-    for cat in edges:
-        if cat not in color:
-            visit(cat, [cat])
-
-
 def validate_grammar(g: CompositionalGrammar) -> CompositionalGrammar:
     """Check all grammar invariants; return ``g`` unchanged."""
     validate_semantics(g.semantics)
@@ -350,7 +343,7 @@ def validate_grammar(g: CompositionalGrammar) -> CompositionalGrammar:
                         f"{what} '{x.name}' has arity {len(x.arg_list)} but associated {sem_what} "
                         f"'{m}' has arity {len(target.arg_list)}"
                     )
-    _check_unary_cycles(g)
+    g.parse_order  # raises on a cycle of unary terminal-free rules
     return g
 
 

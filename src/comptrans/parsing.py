@@ -9,9 +9,11 @@ token, placeholder items consume a sub-span already derived for the argument
 category). Rules are not normalized, so every chart entry is a derivation
 tree over the grammar's own named rules.
 
-Unary terminal-free rules derive a new category over an unchanged span, so
-each span is iterated to a fixpoint; grammar validation rejects cyclic unary
-chains, which bounds the iteration.
+Spans are closed shortest first, and each rule runs once per span, in the
+grammar's ``parse_order``. Only a unary terminal-free rule reads the span it
+writes; that order puts it after every rule deriving its argument, so one
+pass suffices. A tree's yield fixes its span, so every tree is built once and
+the chart holds no duplicates.
 """
 
 import itertools
@@ -68,53 +70,42 @@ def _generate(g: CompositionalGrammar, t: SynTree) -> tuple[str, ...]:
 
 
 class _Chart:
+    """Derivation trees by (category, start) -> end, counted against the cap."""
+
     def __init__(self, cap: int):
-        self.cells: dict[tuple[str, int, int], set[SynTree]] = {}
+        self.ends: dict[tuple[str, int], dict[int, list[SynTree]]] = {}
         self.cap = cap
         self.count = 0
 
-    def add(self, cat: str, start: int, end: int, tree: SynTree) -> bool:
-        cell = self.cells.setdefault((cat, start, end), set())
-        if tree in cell:
-            return False
+    def add(self, cat: str, start: int, end: int, tree: SynTree) -> None:
         self.count += 1
         if self.count > self.cap:
             raise AmbiguityCapError(
                 f"parsing exceeded the ambiguity cap of {self.cap} derivation trees", self.cap
             )
-        cell.add(tree)
-        return True
-
-    def trees(self, cat: str, start: int, end: int) -> list[SynTree]:
-        return sorted(self.cells.get((cat, start, end), ()), key=tree_key)
-
-    def has(self, cat: str, start: int, end: int) -> bool:
-        return (cat, start, end) in self.cells
+        self.ends.setdefault((cat, start), {}).setdefault(end, []).append(tree)
 
 
-def _segmentations(rule: SyntacticRule, tokens, start: int, end: int, chart: _Chart):
-    """Yield per-argument spans for every way the template covers [start, end)."""
-    spans: dict[int, tuple[int, int]] = {}
-
-    def go(item_idx: int, pos: int):
-        if item_idx == len(rule.template):
-            if pos == end:
-                yield dict(spans)
-            return
-        item = rule.template[item_idx]
-        if isinstance(item, str):
-            if pos < end and tokens[pos] == item:
-                yield from go(item_idx + 1, pos + 1)
-            return
-        cat = rule.arg_list[item - 1]
-        # every derivable expression has at least one token, so spans are non-empty
-        for stop in range(pos + 1, end + 1):
-            if chart.has(cat, pos, stop):
-                spans[item] = (pos, stop)
-                yield from go(item_idx + 1, stop)
-                del spans[item]
-
-    yield from go(0, start)
+def _segmentations(rule: SyntacticRule, tokens, start: int, end: int, chart: _Chart) -> list[list]:
+    """The argument trees, one list per argument, for every way the template covers [start, end)."""
+    last = len(rule.template) - 1
+    partial: list[tuple[int, dict]] = [(start, {})]  # (position reached, placeholder -> trees)
+    for idx, item in enumerate(rule.template):
+        grown = []
+        for pos, pools in partial:
+            if isinstance(item, str):
+                if pos < end and tokens[pos] == item:
+                    grown.append((pos + 1, pools))
+                continue
+            ends = chart.ends.get((rule.arg_list[item - 1], pos), {})
+            # the last item must reach ``end``; every derivable expression has a token
+            for stop in [end] if idx == last else [e for e in ends if e < end]:
+                if stop in ends:
+                    grown.append((stop, {**pools, item: ends[stop]}))
+        if not grown:
+            return []
+        partial = grown
+    return [[pools[i] for i in range(1, rule.arity + 1)] for pos, pools in partial if pos == end]
 
 
 def morsynan(
@@ -148,22 +139,12 @@ def morsynan(
             end = start + length
             for b in by_surface.get(tokens[start:end], ()):
                 chart.add(b.category, start, end, SynLeaf(b.name))
-            changed = True
-            while changed:
-                changed = False
-                for rule in g.rules:
-                    for spans in _segmentations(rule, tokens, start, end, chart):
-                        pools = [
-                            chart.trees(arg_cat, *spans[i + 1])
-                            for i, arg_cat in enumerate(rule.arg_list)
-                        ]
-                        for combo in itertools.product(*pools):
-                            if chart.add(rule.result, start, end, SynNode(rule.name, combo)):
-                                changed = True
+            for rule in g.parse_order:
+                for pools in _segmentations(rule, tokens, start, end, chart):
+                    for combo in itertools.product(*pools):
+                        chart.add(rule.result, start, end, SynNode(rule.name, combo))
 
-    cats = [category] if category is not None else sorted(set(g.categories))
-    result: list[SynTree] = []
-    for cat in cats:
-        result.extend(chart.trees(cat, 0, n))
-    result.sort(key=tree_key)
-    return result
+    cats = [category] if category is not None else g.categories
+    return sorted(
+        (t for cat in cats for t in chart.ends.get((cat, 0), {}).get(n, ())), key=tree_key
+    )

@@ -1,9 +1,13 @@
 """Analysis and generation: examples, round trips, oracle equivalence."""
 
+import re
+import time
+
 import pytest
 
 from comptrans import (
     AmbiguityCapError,
+    GrammarValidationError,
     IllFormedTreeError,
     SynLeaf,
     SynNode,
@@ -37,6 +41,40 @@ grammar chain uses s
   basic w : Low = "w" => x
   rule U1 : ( Low ) -> Mid = $1 => Lift
   rule U2 : ( Mid ) -> High = $1 => Lift
+"""
+
+# unary rules declared against dependency order: each one before the rules
+# deriving its argument; A reaches D by two paths, through B and through C
+UNARY_DIAMOND = """
+semantics s
+  semcat X
+  meaning x : X
+  mrule F : ( X ) -> X
+  mrule G : ( X X ) -> X
+grammar diamond uses s
+  syncat A B C D E
+  basic w : A = "w" => x
+  rule Top : ( D ) -> E = $1 => F
+  rule ViaB : ( B ) -> D = $1 => F
+  rule ViaC : ( C ) -> D = $1 => F
+  rule ToB : ( A ) -> B = $1 => F
+  rule ToC : ( A ) -> C = $1 => F
+  rule Very : ( A ) -> A = "very" $1 => F
+  rule And : ( E A ) -> E = $1 "and" $2 => G
+"""
+
+# L -> I L | I ".": one parse, and a chart entry per suffix
+DOTTED_LIST = """
+semantics s
+  semcat Ibar Lbar
+  meaning i : Ibar
+  mrule P : ( Ibar Lbar ) -> Lbar
+  mrule Q : ( Ibar ) -> Lbar
+grammar list uses s
+  syncat I L
+  basic i : I = "x" => i
+  rule R1 : ( I L ) -> L = $1 $2 => P
+  rule R0 : ( I ) -> L = $1 "." => Q
 """
 
 HOMOGRAPHS = """
@@ -150,3 +188,56 @@ def test_generation_matches_independent_yield(paper_grammar, depth):
     for cat in g.categories:
         for t in enumerate_syn_trees(g, cat, depth):
             assert tuple(naive_yield(g, t)) == morsyngen(g, t)
+
+
+def test_unary_rules_against_declaration_order_match_oracle():
+    g = load_grammar(UNARY_DIAMOND)
+    tops = morsynan(g, ["w"], category="E")
+    assert [t.children[0].name for t in tops] == ["ViaB", "ViaC"]
+    # a parse nests the leaf, one level per "very" or "and", and at most 3
+    # unary levels above those: depth 8 is exhaustive up to 5 tokens
+    for utterance in sorted(generable_utterances(g, 6)):
+        if len(utterance) <= 5:
+            assert set(morsynan(g, utterance)) == parse_oracle(g, utterance, 8)
+
+
+def test_three_category_unary_cycle_rejected():
+    text = """
+semantics s
+  semcat X
+  meaning x : X
+  mrule F : ( X ) -> X
+grammar g uses s
+  syncat P Q R
+  basic p : P = "p" => x
+  rule PQ : ( P ) -> Q = $1 => F
+  rule QR : ( Q ) -> R = $1 => F
+  rule RP : ( R ) -> P = $1 => F
+"""
+    with pytest.raises(GrammarValidationError) as err:
+        load_grammar(text)
+    found = re.search(r"cycle through categories ([A-Z]+(?: -> [A-Z]+)+) \(rule '(\w+)'\)", str(err.value))
+    assert found, str(err.value)
+    cycle = found.group(1).split(" -> ")
+    assert len(cycle) == 4 and cycle[0] == cycle[-1] and set(cycle) == {"P", "Q", "R"}
+    edges = {"PQ": ("P", "Q"), "QR": ("Q", "R"), "RP": ("R", "P")}
+    assert set(zip(cycle, cycle[1:])) == set(edges.values())
+    assert found.group(2) in edges
+
+
+def test_long_list_parses_quickly():
+    g = load_grammar(DOTTED_LIST)
+    tokens = ["x"] * 300 + ["."]
+    start = time.perf_counter()
+    parses = morsynan(g, tokens)
+    elapsed = time.perf_counter() - start
+    assert len(parses) == 1
+    assert elapsed < 1.5, f"a 300-token list took {elapsed:.2f}s to parse, budget 1.5s"
+
+
+def test_cap_counts_chart_entries():
+    # L -> I L | I puts n(n+3)/2 entries in the chart of n tokens: 90 at 12
+    g = load_grammar(DOTTED_LIST.replace('$1 "." => Q', "$1 => Q"))
+    assert len(morsynan(g, ["x"] * 12, category="L", max_trees=90)) == 1
+    with pytest.raises(AmbiguityCapError):
+        morsynan(g, ["x"] * 12, max_trees=89)
