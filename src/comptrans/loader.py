@@ -1,8 +1,11 @@
 """Loader for grammar (.cg) and pair (.cgp) files.
 
-Grammar files are UTF-8 and line-based; ``#`` starts a comment and tokens are
-whitespace-separated (a comma may trail a token directly). A file holds any
-number of blocks:
+Grammar files are UTF-8 and line-based, with lines split as
+:meth:`str.splitlines` splits them. Tokens are separated by blanks, which are
+spaces and tabs. A quoted token ``"<tok>"`` holds no blank and no quote.
+Outside quotes ``#`` starts a comment; inside quotes it is literal. A comma is
+a token of its own, so it ends a bare token (``a,b`` is three tokens). A file
+holds any number of blocks:
 
     semantics <name>
         semcat <Name>...
@@ -30,6 +33,7 @@ values.
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .completeness import CategoryCorrespondence, CorrespondenceEntry
 from .errors import ComptransError, GrammarFormatError, GrammarValidationError
@@ -51,72 +55,50 @@ from .model import (
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'\-]*$")
 _PLACEHOLDER_RE = re.compile(r"^\$(\d+)$")
+# a quoted token (unterminated if it runs to the end of the line without its
+# closing quote), a comma or a comment sign, or a bare token; blanks match none
+_TOKEN_RE = re.compile(r'"[^"]*"?|[,#]|[^ \t#",]+')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
-    line: int
     column: int
     quoted: bool = False
 
 
-class _Lexer:
-    """Splits one file into per-line token lists with positions."""
+def _directives(text: str, path: str | None):
+    """``(line parser past the keyword, keyword token)`` for each non-empty line.
 
-    def __init__(self, text: str, path: str | None):
-        self.path = path
-        self.lines: list[list[Token]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            self.lines.append(self._lex_line(raw, lineno))
-
-    def _lex_line(self, raw: str, lineno: int) -> list[Token]:
-        tokens: list[Token] = []
-        i = 0
-        n = len(raw)
-        while i < n:
-            ch = raw[i]
-            if ch in " \t":
-                i += 1
-                continue
-            if ch == "#":
+    Every line is lexed before the first is yielded, so a lexical error is
+    reported before a directive error on an earlier line.
+    """
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = []
+        for m in _TOKEN_RE.finditer(raw):
+            tok, col = m.group(), m.start() + 1
+            if tok == "#":
                 break
-            col = i + 1
-            if ch == '"':
-                j = raw.find('"', i + 1)
-                if j < 0:
-                    raise GrammarFormatError("unterminated quoted token", self.path, lineno, col)
-                body = raw[i + 1:j]
-                if not body:
-                    raise GrammarFormatError("empty quoted token", self.path, lineno, col)
-                if any(c in ' \t"' for c in body):
-                    raise GrammarFormatError(
-                        "quoted token may not contain whitespace or quotes", self.path, lineno, col
-                    )
-                tokens.append(Token(body, lineno, col, quoted=True))
-                i = j + 1
+            if tok[0] != '"':
+                tokens.append(Token(tok, col))
                 continue
-            if ch == ",":
-                tokens.append(Token(",", lineno, col))
-                i += 1
-                continue
-            j = i
-            while j < n and raw[j] not in ' \t#",':
-                j += 1
-            tokens.append(Token(raw[i:j], lineno, col))
-            i = j
-        return tokens
-
-    def directives(self):
-        """``(line parser past the keyword, keyword token)`` for each non-empty line."""
-        for lineno, tokens in enumerate(self.lines, start=1):
-            if tokens:
-                lp = _LineParser(tokens, self.path, lineno)
-                head = tokens[0]
-                if head.quoted:
-                    raise lp.error("line must start with a directive keyword", head)
-                lp.pos = 1
-                yield lp, head
+            if len(tok) == 1 or tok[-1] != '"':
+                raise GrammarFormatError("unterminated quoted token", path, lineno, col)
+            if len(tok) == 2:
+                raise GrammarFormatError("empty quoted token", path, lineno, col)
+            if " " in tok or "\t" in tok:
+                raise GrammarFormatError(
+                    "quoted token may not contain whitespace or quotes", path, lineno, col
+                )
+            tokens.append(Token(tok[1:-1], col, True))
+        if tokens:
+            lines.append(_LineParser(tokens, path, lineno))
+    for lp in lines:
+        head = lp.tokens[0]
+        if head.quoted:
+            raise lp.error("line must start with a directive keyword", head)
+        lp.pos = 1
+        yield lp, head
 
 
 class _LineParser:
@@ -202,10 +184,9 @@ _KIND_OF = {"semantics": SEMANTICS, "grammar": SYNTAX}
 
 
 class _FileParser:
-    def __init__(self, text: str, path: str | None, env: dict[str, SemanticComponent] | None):
+    def __init__(self, path: str | None, env: dict[str, SemanticComponent] | None):
         self.path = path
         self.env = dict(env or {})
-        self.lexer = _Lexer(text, path)
         self.semantics: list[SemanticComponent] = []
         self.grammars: list[CompositionalGrammar] = []
         # the open block: its keyword and first line, then what it declares
@@ -217,20 +198,15 @@ class _FileParser:
         self.leaves: list = []
         self.ops: list = []
 
-    def parse(self) -> FileContents:
-        for lp, head in self.lexer.directives():
-            handler = getattr(self, "_dir_" + head.text.replace("-", "_"), None)
+    def parse(self, text: str) -> FileContents:
+        for lp, head in _directives(text, self.path):
+            handler = getattr(self, "_dir_" + head.text, None)
             if handler is None:
                 raise lp.error(f"unknown directive '{head.text}'", head)
             block = _BLOCK_OF.get(head.text)
             if block is not None and self.block != block:
                 raise lp.error(f"'{head.text}' is only allowed inside a '{block}' block", head)
-            try:
-                handler(lp)
-            except GrammarValidationError as e:
-                if e.line is None:
-                    raise GrammarValidationError(e.args[0], self.path, lp.lineno) from None
-                raise
+            handler(lp)
         self._close_block()
         return FileContents(tuple(self.semantics), tuple(self.grammars))
 
@@ -363,7 +339,7 @@ def parse_file(
     env: dict[str, SemanticComponent] | None = None,
 ) -> FileContents:
     """Parse one grammar file; ``env`` supplies externally declared semantics."""
-    return _FileParser(text, path, env).parse()
+    return _FileParser(path, env).parse(text)
 
 
 def load_grammar(
@@ -413,7 +389,7 @@ def load_pair(path: str | Path) -> LoadedPair:
     refs: dict[str, tuple[_LineParser, str, str | None]] = {}
     correspond_lines: list[tuple[_LineParser, str, list[str], str]] = []
 
-    for lp, head in _Lexer(text, str(p)).directives():
+    for lp, head in _directives(text, str(p)):
         if head.text in ("semantics", "source", "target"):
             ref_path = lp.next("file path").text
             name = lp.name("name") if lp.peek() is not None else None

@@ -73,10 +73,6 @@ Tree = SynTree | SemTree
 #: the leaf and node types of trees written in each kind of signature
 TREE_TYPES = {SYNTAX: (SynLeaf, SynNode), SEMANTICS: (SemLeaf, SemNode)}
 
-tree_name = attrgetter("name")
-tree_children = attrgetter("children")
-
-
 def tree_key(t: Tree):
     """Sort key realizing the canonical order."""
     return (t.name, tuple(map(tree_key, t.children)))
@@ -111,18 +107,18 @@ is_cfg_well_formed = is_sem_well_typed = is_well_formed
 def relabel(rel: Relabelling, t: Tree) -> list[Tree]:
     """Every tree of ``t``'s shape whose node names are images of ``t``'s under ``rel``.
 
-    Node results come in canonical order; leaf results follow ``rel``.
+    Results come in canonical order. Images are taken in name order over
+    children already in canonical order, and a product of sorted lists is
+    lexicographic, so nothing needs sorting afterwards.
     """
     make_leaf, make_node = TREE_TYPES[rel.target.kind]
 
     def go(t: Tree) -> list[Tree]:
-        images = rel.images(t.name, t.is_leaf)
+        names = sorted(x.name for x in rel.images(t.name, t.is_leaf))
         if t.is_leaf:
-            return [make_leaf(x.name) for x in images]
+            return [make_leaf(n) for n in names]
         child_sets = [go(c) for c in t.children]
-        out = [make_node(x.name, combo) for x in images for combo in itertools.product(*child_sets)]
-        out.sort(key=tree_key)
-        return out
+        return [make_node(n, combo) for n in names for combo in itertools.product(*child_sets)]
 
     return go(t)
 

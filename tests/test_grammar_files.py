@@ -1,6 +1,8 @@
 """Grammar file loading: format diagnostics and model invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptrans import (
     GrammarFormatError,
@@ -243,3 +245,86 @@ def test_pair_file_unknown_correspondence_category(tmp_path):
     with pytest.raises(GrammarFormatError) as err:
         load_pair(p)
     assert "unknown semantic category 'Nope'" in str(err.value)
+
+
+# Exact diagnostics, ``path:line:column: message``, for malformed files. The
+# grammar block opens on line 5 and its "syncat V W" is line 6, so the probed
+# line is line 7.
+SEM_AND_GRAMMAR = (
+    "semantics s\n  semcat X Y\n  meaning x : X\n  mrule F : ( X ) -> Y\n"
+    "grammar g uses s\n  syncat V W\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # an unterminated quote runs to the end of its line
+        (SEM_AND_GRAMMAR + '  basic v : V = "v', "t.cg:7:17: unterminated quoted token"),
+        (SEM_AND_GRAMMAR + '  basic v : V = "" => x', "t.cg:7:17: empty quoted token"),
+        (
+            SEM_AND_GRAMMAR + '  basic v : V = "a b" => x',
+            "t.cg:7:17: quoted token may not contain whitespace or quotes",
+        ),
+        (
+            SEM_AND_GRAMMAR + '  basic v : V = "a\tb" => x',
+            "t.cg:7:17: quoted token may not contain whitespace or quotes",
+        ),
+        ('"semantics" s\n', "t.cg:1:1: line must start with a directive keyword"),
+        # inside quotes '#' is literal, so the line goes on past it
+        (SEM_AND_GRAMMAR + '  basic v : V = "#" x => x', "t.cg:7:21: surface tokens must be quoted, found 'x'"),
+        # outside quotes it starts a comment, so the line ends before it
+        (SEM_AND_GRAMMAR + '  basic v : V = "v" =>#x', "t.cg:7:23: expected basic meaning name but the line ended"),
+        # a comma ends a bare token and is a token of its own
+        ("semantics s\n  semcat X,Y\n", "t.cg:2:11: expected semantic category name but found ','"),
+        (SEM_AND_GRAMMAR + "  rule R : ( V ) -> W = $1 => F,", "t.cg:7:33: expected semantic rule name but the line ended"),
+        # columns count a tab as one character
+        (SEM_AND_GRAMMAR + "\trule\tR\t:\t(\tV\t)\t->\tW\t=\t$0\t=>\tF", "t.cg:7:24: placeholder indices start at $1"),
+        # a no-break space is not a blank: it stays inside the bare token
+        (SEM_AND_GRAMMAR + "  syncat Z\xa0W", "t.cg:7:10: expected syntactic category name but found 'Z\xa0W'"),
+        # \x0b breaks the line, as str.splitlines does
+        (SEM_AND_GRAMMAR + "  syncat Z\x0bW", "t.cg:8:1: unknown directive 'W'"),
+        # every line is lexed before the first directive is read
+        ('nonsense\nsemantics s\n  semcat "X\n', "t.cg:3:10: unterminated quoted token"),
+        ("semantics s\n  semcat X\n  nonsense X\n", "t.cg:3:3: unknown directive 'nonsense'"),
+        ("semantics s\n  sem-cat X\n", "t.cg:2:3: unknown directive 'sem-cat'"),
+        ("  meaning x : X\n", "t.cg:1:3: 'meaning' is only allowed inside a 'semantics' block"),
+    ],
+)
+def test_format_error_messages(text, expected):
+    with pytest.raises(GrammarFormatError) as err:
+        parse_file(text, path="t.cg")
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("semantics s.cg\nconnect a b\n", "2:1: unknown directive 'connect'"),
+        ("semantics s.cg\nsource a.cg\nsource b.cg\n", "3:1: duplicate 'source' line"),
+    ],
+)
+def test_pair_file_format_error_messages(tmp_path, text, expected):
+    p = tmp_path / "p.cgp"
+    p.write_text(text)
+    with pytest.raises(GrammarFormatError) as err:
+        load_pair(p)
+    assert str(err.value) == f"{p}:{expected}"
+
+
+FRAGMENTS = [
+    "semantics", "grammar", "uses", "semcat", "syncat", "meaning", "mrule", "basic", "rule", "s",
+    "X", "V", "x", "F", ":", "(", ")", "->", "=", "=>", "$1", "$0", '"v"', '"', ",", "#", " ", "\t",
+    "\n", "\x0b", "\x0c", "\r", "\xa0", "-",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+def test_any_text_loads_or_fails_at_a_place_inside_it(text):
+    try:
+        parse_file(text, path="t.cg")
+    except GrammarFormatError as e:
+        lines = text.splitlines()
+        assert 1 <= e.line <= len(lines)
+        assert e.column is None or 1 <= e.column <= len(lines[e.line - 1]) + 1

@@ -14,6 +14,10 @@ enumerations still blow past the guards are skipped for the expensive parts.
 """
 
 import random
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptrans import (
     AmbiguityCapError,
@@ -29,6 +33,7 @@ from comptrans import (
     SyntacticRule,
     check_n1_completeness,
     check_nn_completeness,
+    enumerate_sem_trees,
     enumerate_syn_trees,
     find_incompleteness_witness,
     is_cfg_well_formed,
@@ -38,6 +43,7 @@ from comptrans import (
     semgen,
     translate_sem,
     tree_depth,
+    tree_key,
     validate_grammar,
     validate_pair,
     validate_semantics,
@@ -161,6 +167,29 @@ def check_duality(g: CompositionalGrammar) -> None:
         for d in seman(g, t):
             assert d in seman(g, t)
             assert t in semgen(g, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_relabelling_yields_canonical_order(seed):
+    rng = random.Random(seed)
+    sc = random_component(rng)
+    g = random_grammar(rng, "g", sc)
+    # declared out of name order, so relabelling cannot inherit the order
+    g = validate_grammar(
+        CompositionalGrammar(
+            g.name,
+            g.categories,
+            tuple(replace(b, meanings=b.meanings[::-1]) for b in g.basics[::-1]),
+            tuple(replace(r, meanings=r.meanings[::-1]) for r in g.rules[::-1]),
+            sc,
+        )
+    )
+    # leaves included: depth 1 enumerates them first
+    syn = [t for c in g.categories for t in enumerate_syn_trees(g, c, DEPTH)]
+    sem = [d for c in sc.categories for d in enumerate_sem_trees(sc, c, DEPTH)]
+    for out in [seman(g, t) for t in syn[:150]] + [semgen(g, d) for d in sem[:150]]:
+        assert out == sorted(set(out), key=tree_key)
 
 
 def test_random_grammar_trials():
