@@ -22,7 +22,7 @@ from .completeness import (
 from .errors import ComptransError, ResourceLimitError
 from .loader import FileContents, LoadedPair, load_pair, parse_file, pick
 from .model import SemanticComponent
-from .parsing import morsynan
+from .parsing import DEFAULT_AMBIGUITY_CAP, morsynan
 from .pipeline import translate
 from .render import (
     dump_json,
@@ -225,17 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="FILE")
     p.add_argument("--semantics", action="append", metavar="FILE", help="extra semantics file")
 
+    cap_help = f"ambiguity cap (default {DEFAULT_AMBIGUITY_CAP})"
     p = command("parse", _cmd_parse, "all derivation trees of an utterance")
     grammar_file_options(p, "GRAMMAR.cg")
     p.add_argument("--utterance", required=True, help="tokens, whitespace-separated")
     p.add_argument("--cat", help="restrict to one result category")
-    p.add_argument("--cap", type=_positive_int, help="ambiguity cap (default 10000)")
+    p.add_argument("--cap", type=_positive_int, help=cap_help)
 
     p = command("translate", _cmd_translate, "translate an utterance through a grammar pair")
     p.add_argument("path", metavar="PAIR.cgp")
     p.add_argument("--utterance", required=True)
     p.add_argument("--trace", action="store_true", help="show every intermediate stage")
-    p.add_argument("--cap", type=_positive_int, help="ambiguity cap (default 10000)")
+    p.add_argument("--cap", type=_positive_int, help=cap_help)
 
     def pair_options(p, bounded: str) -> None:
         p.add_argument("path", metavar="PAIR.cgp")

@@ -408,7 +408,8 @@ def validate_labels(
     # the identity relabelling realizes exactly the well-typed trees, each at its category
     identity = Relabelling(sem, sem, {m.name: (m,) for m in sem.leaves}, {r.name: (r,) for r in sem.ops})
     rounds = _state_rounds(sem, identity, pair.target.inverse_interpretation, max_depth)
-    states = sorted((*s, k, r, d) for new in rounds for (s, r), (k, d) in new.items())
+    # trees differ, since a tree has one state, so the sort never compares R
+    states = sorted((*s, d, r) for new in rounds for (s, r), d in new.items())
     violations = tuple(
         Violation(
             kind="label",
@@ -419,7 +420,7 @@ def validate_labels(
             category=wanted,
             sem_tree=d,
         )
-        for sem_cat, _, realized, d in states
+        for sem_cat, d, realized in states
         if corr.label_for(sem_cat) == CONJUNCTIVE
         for wanted in corr.categories_for(sem_cat)
         if wanted not in realized
@@ -432,14 +433,14 @@ def _state_rounds(sig: Signature, left, right, max_depth: int):
 
     The state of a tree is ``(S, R)``, the categories ``left`` and ``right``
     realize it at; trees with an empty ``S`` are dropped. Round ``k`` maps each
-    new state to ``(tree_key, tree)`` of its least tree, of depth ``k``: a root
-    over its children's least trees, the canonical order being lexicographic.
-    The rounds stop after ``max_depth``, or after one adding no state, when no
-    tree of any depth has a state not yet yielded.
+    new state to its least tree, of depth ``k``: a root over its children's
+    least trees, the canonical order being lexicographic. The rounds stop
+    after ``max_depth``, or after one adding no state, when no tree of any
+    depth has a state not yet yielded.
     """
     if max_depth < 1:
         raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
-    best: dict = {}  # (S, R) -> (tree_key, tree) of the least tree of that state found so far
+    best: dict = {}  # (S, R) -> the least tree of that state found so far
     for _ in range(max_depth):
         grown = dict(best)
         leaf = not best  # the first round builds the leaves, every later one the operators
@@ -448,17 +449,16 @@ def _state_rounds(sig: Signature, left, right, max_depth: int):
             # a child can only fit an argument some carrier accepts there
             fits = zip(*(c.arg_list for c in carriers))
             pools = [[item for item in best.items() if item[0][0] & set(cats)] for cats in fits]
-            # children holds one ((S, R), (tree_key, tree)) item per argument
+            # children holds one ((S, R), tree) item per argument
             for children in itertools.product(*pools):
                 s_cats = realize_node(carriers, [s for (s, _), _ in children])
                 if not s_cats:
                     continue
                 state = (s_cats, realize_node(images, [r for (_, r), _ in children]))
-                key = (x.name, tuple(k for _, (k, _) in children))
-                if state not in grown or key < grown[state][0]:
-                    subtrees = tuple(t for _, (_, t) in children)
-                    grown[state] = (key, SemLeaf(x.name) if leaf else SemNode(x.name, subtrees))
-        new = {state: entry for state, entry in grown.items() if state not in best}
+                tree = SemLeaf(x.name) if leaf else SemNode(x.name, tuple(t for _, t in children))
+                if state not in grown or tree < grown[state]:
+                    grown[state] = tree
+        new = {state: tree for state, tree in grown.items() if state not in best}
         if not new:
             return
         yield new
@@ -475,9 +475,9 @@ def find_incompleteness_witness(pair: GrammarPair, max_depth: int) -> SemTree | 
     src, tgt = pair.source, pair.target
     sem = src.semantics.signature
     for new in _state_rounds(sem, src.inverse_interpretation, tgt.inverse_interpretation, max_depth):
-        lost = [entry for (_, r), entry in new.items() if not r]
+        lost = [tree for (_, r), tree in new.items() if not r]
         if lost:
-            return min(lost)[1]  # keys differ: a tree has one state
+            return min(lost)
     return None
 
 

@@ -97,14 +97,20 @@ class Relabelling:
     """A relation from the symbols of one signature to those of another.
 
     ``leaves`` and ``ops`` map every symbol name of ``source`` to the
-    ``target`` symbols it may be relabelled to. A grammar's interpretation is
-    one, from syntax to semantics; :meth:`inverse` gives the way back.
+    ``target`` symbols it may be relabelled to, stored in name order. A
+    grammar's interpretation is one, from syntax to semantics; :meth:`inverse`
+    gives the way back.
     """
 
     source: Signature
     target: Signature
     leaves: dict[str, tuple]
     ops: dict[str, tuple]
+
+    def __post_init__(self):
+        for attr in ("leaves", "ops"):
+            table = {n: tuple(sorted(xs, key=attrgetter("name"))) for n, xs in getattr(self, attr).items()}
+            object.__setattr__(self, attr, table)
 
     def images(self, name: str, leaf: bool) -> tuple:
         table = self.leaves if leaf else self.ops
@@ -113,14 +119,14 @@ class Relabelling:
         return table[name]
 
     def inverse(self) -> "Relabelling":
-        """The converse relation; preimages keep their declaration order."""
+        """The converse relation; preimages come in name order."""
 
         def flip(table, sources, targets):
             out: dict[str, list] = {y.name: [] for y in targets}
             for x in sources:
                 for y in table[x.name]:
                     out[y.name].append(x)
-            return {n: tuple(xs) for n, xs in out.items()}
+            return out  # the constructor sorts each list into a tuple
 
         s, t = self.source, self.target
         return Relabelling(t, s, flip(self.leaves, s.leaves, t.leaves), flip(self.ops, s.ops, t.ops))

@@ -21,7 +21,7 @@ import os
 
 from .errors import AmbiguityCapError, ComptransError, IllFormedTreeError
 from .model import CompositionalGrammar, SyntacticRule
-from .trees import SynLeaf, SynNode, SynTree, is_cfg_well_formed, tree_key
+from .trees import SynLeaf, SynNode, SynTree, is_cfg_well_formed
 
 DEFAULT_AMBIGUITY_CAP = 10_000
 AMBIGUITY_CAP_ENV_VAR = "COMPTRANS_AMBIGUITY_CAP"
@@ -145,6 +145,4 @@ def morsynan(
                         chart.add(rule.result, start, end, SynNode(rule.name, combo))
 
     cats = [category] if category is not None else g.categories
-    return sorted(
-        (t for cat in cats for t in chart.ends.get((cat, 0), {}).get(n, ())), key=tree_key
-    )
+    return sorted(t for cat in cats for t in chart.ends.get((cat, 0), {}).get(n, ()))

@@ -23,8 +23,9 @@ from .trees import (
     is_sem_well_typed,
     relabel,
     tree_depth,
-    tree_key,
 )
+# Unused here; bench/tracing.py looks this name up in this module.
+from .trees import tree_key  # noqa: F401
 
 
 def seman(g: CompositionalGrammar, t: SynTree) -> list[SemTree]:
@@ -100,14 +101,10 @@ def translate(pair: GrammarPair, utterance, max_trees: int | None = None) -> Tra
     tokens = tuple(utterance)
     source_trees = morsynan(pair.source, tokens, max_trees=max_trees)
 
-    sem_trees = sorted(
-        {d for t in source_trees for d in seman(pair.source, t)}, key=tree_key
-    )
+    sem_trees = sorted({d for t in source_trees for d in seman(pair.source, t)})
     sem_flagged = tuple((d, is_sem_well_typed(pair.source.semantics, d)) for d in sem_trees)
 
-    target_trees = sorted(
-        {t2 for d in sem_trees for t2 in semgen(pair.target, d)}, key=tree_key
-    )
+    target_trees = sorted({t2 for d in sem_trees for t2 in semgen(pair.target, d)})
     target_flagged = tuple((t2, is_cfg_well_formed(pair.target, t2)) for t2 in target_trees)
 
     utterances = sorted({morsyngen(pair.target, t2) for t2, ok in target_flagged if ok})
@@ -145,7 +142,7 @@ def well_formed_sem_trees(g: CompositionalGrammar, max_depth: int) -> list[SemTr
     for cat in sorted(set(g.categories)):
         for t in enumerate_syn_trees(g, cat, max_depth):
             out.update(seman(g, t))
-    return sorted(out, key=lambda d: (tree_depth(d), tree_key(d)))
+    return sorted(out, key=lambda d: (tree_depth(d), d))
 
 
 def is_well_formed_sem_tree(g: CompositionalGrammar, d: SemTree) -> bool:

@@ -1,8 +1,8 @@
 """Syntactic and semantic derivation trees.
 
-Both kinds share one shape: a node has a ``name`` and a tuple of
-``children``, and a leaf has ``children == ()``. ``is_leaf`` tells a leaf
-from an operator node with no children. The name reads as ``.basic`` on a
+Both kinds share one shape, an immutable tuple: a leaf is ``(name,)`` with
+``children == ()``, and a node is ``(name, children)``. ``is_leaf`` tells a
+leaf from an operator node with no children. The name reads as ``.basic`` on a
 syntactic leaf, ``.meaning`` on a semantic leaf and ``.rule`` on a node. Every
 function here works on either kind, given the grammar or semantic component
 whose :class:`~comptrans.model.Signature` the tree is written in; the
@@ -13,17 +13,19 @@ ill-formed trees (wrong child count, mismatched categories). Well-formedness
 is a separate check, and generation stages downstream rely on being able to
 build ill-formed candidates first and filter later.
 
-Canonical order everywhere is lexicographic by node name, then recursively by
-children (:func:`tree_key`); enumeration output, reports, and serialized sets
-all follow it so runs are reproducible.
+Canonical order everywhere is the tuple order: by node name, then recursively
+by children, with a leaf before a node of the same name. ``sorted`` and ``min``
+need no key; enumeration output, reports, and serialized sets all follow it so
+runs are reproducible.
 """
 
 import itertools
+import math
 import random
 import re
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ComptransError
 from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, SemanticComponent
@@ -31,15 +33,13 @@ from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, Semanti
 Component = CompositionalGrammar | SemanticComponent
 
 
-@dataclass(frozen=True, slots=True)
-class _Leaf:
+class _Leaf(NamedTuple):
     name: str
     children = ()
     is_leaf = True
 
 
-@dataclass(frozen=True, slots=True)
-class _Node:
+class _Node(NamedTuple):
     name: str
     children: tuple
     is_leaf = False
@@ -73,9 +73,9 @@ Tree = SynTree | SemTree
 #: the leaf and node types of trees written in each kind of signature
 TREE_TYPES = {SYNTAX: (SynLeaf, SynNode), SEMANTICS: (SemLeaf, SemNode)}
 
-def tree_key(t: Tree):
-    """Sort key realizing the canonical order."""
-    return (t.name, tuple(map(tree_key, t.children)))
+def tree_key(t: Tree) -> Tree:
+    """Sort key realizing the canonical order: a tree is its own key."""
+    return t
 
 
 def tree_depth(t: Tree) -> int:
@@ -89,15 +89,17 @@ def tree_category(c: Component, t: Tree) -> str:
 
 
 def is_well_formed(c: Component, t: Tree) -> bool:
-    """True iff every rule node's argument list equals its children's categories."""
-    r = c.signature.symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
-    if len(t.children) != len(r.arg_list):
-        for child in t.children:
-            tree_category(c, child)
-        return False
-    return all(tree_category(c, ch) == cat for ch, cat in zip(t.children, r.arg_list)) and all(
-        is_well_formed(c, ch) for ch in t.children
-    )
+    """True iff every rule node's argument list equals its children's categories.
+
+    Every name is looked up, so an unknown one raises :class:`UnknownNameError`.
+    """
+    symbol = c.signature.symbol
+
+    def category(t: Tree) -> str | None:  # None for an ill-formed tree, which fits no argument
+        r = symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
+        return r.result if tuple(map(category, t.children)) == r.arg_list else None
+
+    return category(t) is not None
 
 
 syn_cat = sem_cat = tree_category
@@ -114,11 +116,11 @@ def relabel(rel: Relabelling, t: Tree) -> list[Tree]:
     make_leaf, make_node = TREE_TYPES[rel.target.kind]
 
     def go(t: Tree) -> list[Tree]:
-        names = sorted(x.name for x in rel.images(t.name, t.is_leaf))
+        images = rel.images(t.name, t.is_leaf)
         if t.is_leaf:
-            return [make_leaf(n) for n in names]
+            return [make_leaf(x.name) for x in images]
         child_sets = [go(c) for c in t.children]
-        return [make_node(n, combo) for n in names for combo in itertools.product(*child_sets)]
+        return [make_node(x.name, combo) for x in images for combo in itertools.product(*child_sets)]
 
     return go(t)
 
@@ -154,7 +156,7 @@ def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
             for name, args in rules[sort]:
                 for combo in itertools.product(*(trees(a, depth - 1) for a in args)):
                     out.append(make_node(name, combo))
-        out.sort(key=tree_key)
+        out.sort()
         memo[key] = out
         return out
 
@@ -164,18 +166,12 @@ def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
 enumerate_syn_trees = enumerate_sem_trees = enumerate_trees
 
 
-def _min_depths(leaves: dict, rules: dict) -> dict[str, int | None]:
-    md: dict[str, int | None] = {c: (1 if leaves[c] else None) for c in leaves}
-    changed = True
-    while changed:
-        changed = False
+def _min_depths(leaves: dict, rules: dict) -> dict[str, float]:
+    """The least depth of a tree of each sort, ``inf`` for a sort with no tree."""
+    md = {c: 1 if leaves[c] else math.inf for c in leaves}
+    for _ in md:  # no sort repeats on a path of a least tree, so one round per sort suffices
         for c in md:
-            for _, args in rules[c]:
-                if all(md[a] is not None for a in args):
-                    cand = 1 + max(md[a] for a in args)
-                    if md[c] is None or cand < md[c]:
-                        md[c] = cand
-                        changed = True
+            md[c] = min([md[c], *(1 + max(md[a] for a in args) for _, args in rules[c])])
     return md
 
 
@@ -187,7 +183,7 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
     """
     leaves, rules, make_leaf, make_node = _view(c, cat)
     md = _min_depths(leaves, rules)
-    if md[cat] is None or md[cat] > max_depth:
+    if md[cat] > max_depth:
         return None
     rng = random.Random(seed)
 
@@ -195,7 +191,7 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
         options: list[tuple[str, tuple[str, ...] | None]] = [(n, None) for n in leaves[sort]]
         if budget >= 2:
             for name, args in rules[sort]:
-                if all(md[a] is not None and md[a] <= budget - 1 for a in args):
+                if all(md[a] <= budget - 1 for a in args):
                     options.append((name, args))
         name, args = rng.choice(options)
         if args is None:

@@ -9,6 +9,8 @@ The two realizability references at the end are the generate-then-filter
 algorithms the library used before it decided realizability bottom-up, and
 the witness and labels references are the enumerate-then-decide searches it
 used before it decided completeness and conjunctive labels over states.
+``canonical_key`` is the sort key the library used before trees were tuples
+that sort themselves.
 """
 
 import itertools
@@ -32,6 +34,11 @@ from comptrans import (
     well_formed_sem_trees,
 )
 from comptrans.pipeline import realized_categories
+
+
+def canonical_key(t):
+    """The canonical order spelled out: node name, then the children's keys in turn."""
+    return (t.name, tuple(map(canonical_key, t.children)))
 
 
 def naive_syn_trees(grammar, category, max_depth):

@@ -23,12 +23,11 @@ from comptrans import (
     CorrespondenceEntry,
     sem_cat,
     tree_depth,
-    tree_key,
     validate_labels,
     validate_pair,
 )
 from comptrans.pipeline import realized_categories
-from oracles import labels_by_enumeration
+from oracles import canonical_key, labels_by_enumeration
 from test_cli import run_cli
 from test_random_grammars import MAX_SEM_TREES, random_component, random_grammar
 from test_witness import DEEP, S_S_GRAMMAR
@@ -92,9 +91,9 @@ def test_states_match_enumeration(seed, depth):
     # each with the shallowest, then canonically least, of the trees that fail there
     least = {}
     for v in expected.violations:
-        rank = (tree_depth(v.sem_tree), tree_key(v.sem_tree))
+        rank = (tree_depth(v.sem_tree), canonical_key(v.sem_tree))
         least[failing(v)] = min(least.get(failing(v), rank), rank)
-    assert all((tree_depth(v.sem_tree), tree_key(v.sem_tree)) == least[failing(v)] for v in got.violations)
+    assert all((tree_depth(v.sem_tree), canonical_key(v.sem_tree)) == least[failing(v)] for v in got.violations)
 
 
 def write_pair(tmp_path, syncats: str, correspond: str):

@@ -43,13 +43,12 @@ from comptrans import (
     semgen,
     translate_sem,
     tree_depth,
-    tree_key,
     validate_grammar,
     validate_pair,
     validate_semantics,
     well_formed_sem_trees,
 )
-from oracles import generable_utterances, parse_oracle
+from oracles import canonical_key, generable_utterances, parse_oracle
 
 TERMINALS = ["u", "v", "w"]
 TRIALS = 150
@@ -189,7 +188,7 @@ def test_relabelling_yields_canonical_order(seed):
     syn = [t for c in g.categories for t in enumerate_syn_trees(g, c, DEPTH)]
     sem = [d for c in sc.categories for d in enumerate_sem_trees(sc, c, DEPTH)]
     for out in [seman(g, t) for t in syn[:150]] + [semgen(g, d) for d in sem[:150]]:
-        assert out == sorted(set(out), key=tree_key)
+        assert out == sorted(set(out), key=canonical_key)
 
 
 def test_random_grammar_trials():

@@ -23,9 +23,10 @@ from comptrans import (
     syn_cat,
     syn_tree_from_json,
     tree_depth,
+    tree_key,
     tree_to_json,
 )
-from oracles import naive_sem_trees, naive_syn_trees
+from oracles import canonical_key, naive_sem_trees, naive_syn_trees
 
 
 def test_syn_cat(paper_grammar):
@@ -47,6 +48,11 @@ def test_is_cfg_well_formed(paper_grammar):
     assert not is_cfg_well_formed(g, SynNode("R1", (SynLeaf("b"),)))
     with pytest.raises(UnknownNameError):
         is_cfg_well_formed(g, SynNode("R9", (SynLeaf("b"),)))
+    # every name is looked up, also past a child that already fails to fit
+    with pytest.raises(UnknownNameError):
+        is_cfg_well_formed(g, parse_syn_tree("R1(c, zzz)"))
+    with pytest.raises(UnknownNameError):
+        is_cfg_well_formed(g, parse_syn_tree("R1(b, zzz)"))
 
 
 def test_sem_cat(paper_grammar):
@@ -176,3 +182,30 @@ def test_json_round_trip(paper_grammar):
     assert syn_tree_from_json(tree_to_json(t)) == t
     d = SemNode("M1", (SemLeaf("m1"), SemLeaf("m2a")))
     assert sem_tree_from_json(tree_to_json(d)) == d
+
+
+NAMES = st.sampled_from("abc")
+
+
+def trees_of(leaf, node):
+    """Random trees whose nodes have 1 to 3 children, over a few shared names."""
+    return st.recursive(
+        st.builds(leaf, NAMES),
+        lambda kids: st.builds(node, NAMES, st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        max_leaves=12,
+    )
+
+
+@given(st.lists(trees_of(SynLeaf, SynNode)), st.lists(trees_of(SemLeaf, SemNode)))
+def test_trees_sort_in_canonical_order(syn, sem):
+    for ts in (syn, sem):
+        assert sorted(ts) == sorted(ts, key=canonical_key) == sorted(ts, key=tree_key)
+
+
+def test_leaf_sorts_before_nullary_node_of_its_name():
+    # the one place the tree order refines canonical_key, which ties the two
+    for leaf, node in ((SynLeaf("x"), SynNode("x", ())), (SemLeaf("x"), SemNode("x", ()))):
+        assert canonical_key(leaf) == canonical_key(node)
+        assert leaf != node
+        assert leaf < node
+        assert sorted([node, leaf]) == [leaf, node]
