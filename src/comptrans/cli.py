@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import __version__
 from .completeness import (
-    DEFAULT_LABEL_DEPTH,
     check_homomorphism,
     check_n1_completeness,
     check_nn_completeness,
@@ -243,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--depth",
             type=_positive_int,
-            default=DEFAULT_LABEL_DEPTH,
-            help=f"depth bound for {bounded}; the search stops sooner once the states saturate",
+            help=f"stop {bounded} after this many rounds (default: run until no new state appears, then exact)",
         )
 
     p = command("check", _cmd_check, "static completeness conditions for a grammar pair")
@@ -253,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["homomorphism", "n1", "nn", "labels"],
         help="default: nn when the pair declares correspondences, else n1",
     )
-    pair_options(p, "labels")
+    pair_options(p, "the labels check")
 
     p = command("witness", _cmd_witness, "search for a semantic tree with no translation")
-    pair_options(p, "the witness")
+    pair_options(p, "the witness search")
 
     p = command("enumerate", _cmd_enumerate, "enumerate or sample derivation trees")
     grammar_file_options(p, "FILE.cg")

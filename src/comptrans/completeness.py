@@ -16,11 +16,12 @@ well-formed target utterance?
   cannot honor, and ``find_incompleteness_witness``, the ground truth, finds
   the smallest well-formed source semantic derivation tree with no
   translation. Both run one bottom-up fixpoint over the states of semantic
-  trees, the categories that realize them; once no new state appears, the
-  answer holds at every depth.
+  trees, the categories that realize them, until no new state appears; there
+  are finitely many states, so it always stops, and the answer holds at every
+  depth.
 
-A passing n1 check is a proof, and so is a passing nn check whose labels pass
-with the states saturated; a witness is always a real counterexample.
+A passing n1 check is a proof, and so is a passing nn check whose labels pass;
+a witness is always a real counterexample.
 """
 
 import itertools
@@ -42,7 +43,6 @@ CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
 
 DEFAULT_TUPLE_CAP = 10**6
-DEFAULT_LABEL_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ def check_nn_completeness(
 def validate_labels(
     pair: GrammarPair,
     corr: CategoryCorrespondence,
-    max_depth: int = DEFAULT_LABEL_DEPTH,
+    max_depth: int | None = None,
 ) -> CompletenessReport:
     """Refutation of the declared conjunctive labels, decided over states.
 
@@ -401,7 +401,8 @@ def validate_labels(
     well-formed target realization at every category of its correspondence
     set. Each failing state (category, target categories realizing the tree)
     is reported once per missing category, with its least tree by depth and
-    then canonical order; a pass is exact once the states saturate.
+    then canonical order. A pass is exact, unless ``max_depth`` stops the
+    rounds before the states saturate.
     """
     _require_coverage(pair, corr)
     sem = pair.target.semantics.signature
@@ -428,20 +429,20 @@ def validate_labels(
     return CompletenessReport(condition="labels", violations=violations)
 
 
-def _state_rounds(sig: Signature, left, right, max_depth: int):
+def _state_rounds(sig: Signature, left, right, max_depth: int | None = None):
     """Round by round, the states first reached by trees over ``sig``.
 
     The state of a tree is ``(S, R)``, the categories ``left`` and ``right``
     realize it at; trees with an empty ``S`` are dropped. Round ``k`` maps each
     new state to its least tree, of depth ``k``: a root over its children's
     least trees, the canonical order being lexicographic. The rounds stop
-    after ``max_depth``, or after one adding no state, when no tree of any
-    depth has a state not yet yielded.
+    after one adding no state, when no tree of any depth has a state not yet
+    yielded, or after ``max_depth`` rounds if given.
     """
-    if max_depth < 1:
+    if max_depth is not None and max_depth < 1:
         raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
     best: dict = {}  # (S, R) -> the least tree of that state found so far
-    for _ in range(max_depth):
+    for _ in itertools.count() if max_depth is None else range(max_depth):
         grown = dict(best)
         leaf = not best  # the first round builds the leaves, every later one the operators
         for x in sig.leaves if leaf else sig.ops:
@@ -465,12 +466,12 @@ def _state_rounds(sig: Signature, left, right, max_depth: int):
         best = grown
 
 
-def find_incompleteness_witness(pair: GrammarPair, max_depth: int) -> SemTree | None:
+def find_incompleteness_witness(pair: GrammarPair, max_depth: int | None = None) -> SemTree | None:
     """Smallest well-formed source semantic derivation tree with no translation.
 
     The least tree, by depth and then canonical order, whose state (source
     categories, target categories) has no target category. None means no
-    witness up to ``max_depth``, or at any depth when the states saturate.
+    witness at any depth, or, given ``max_depth``, none up to that depth.
     """
     src, tgt = pair.source, pair.target
     sem = src.semantics.signature
@@ -481,7 +482,7 @@ def find_incompleteness_witness(pair: GrammarPair, max_depth: int) -> SemTree | 
     return None
 
 
-def witness_report(pair: GrammarPair, max_depth: int) -> CompletenessReport:
+def witness_report(pair: GrammarPair, max_depth: int | None = None) -> CompletenessReport:
     """The witness search packaged as a report."""
     witness = find_incompleteness_witness(pair, max_depth)
     return CompletenessReport(condition="witness-search", witness=witness)

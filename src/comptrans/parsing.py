@@ -17,28 +17,12 @@ the chart holds no duplicates.
 """
 
 import itertools
-import os
 
-from .errors import AmbiguityCapError, ComptransError, IllFormedTreeError
+from .errors import AmbiguityCapError, IllFormedTreeError
 from .model import CompositionalGrammar, SyntacticRule
 from .trees import SynLeaf, SynNode, SynTree, is_cfg_well_formed
 
 DEFAULT_AMBIGUITY_CAP = 10_000
-AMBIGUITY_CAP_ENV_VAR = "COMPTRANS_AMBIGUITY_CAP"
-
-
-def default_ambiguity_cap() -> int:
-    """The ambiguity cap from the environment, or the built-in default."""
-    raw = os.environ.get(AMBIGUITY_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_AMBIGUITY_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ComptransError(f"{AMBIGUITY_CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ComptransError(f"{AMBIGUITY_CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
 
 
 def morsyngen(g: CompositionalGrammar, t: SynTree) -> tuple[str, ...]:
@@ -122,7 +106,7 @@ def morsynan(
     :class:`AmbiguityCapError`; results are never truncated silently.
     """
     tokens = tuple(utterance)
-    cap = max_trees if max_trees is not None else default_ambiguity_cap()
+    cap = max_trees if max_trees is not None else DEFAULT_AMBIGUITY_CAP
     if category is not None:
         g.signature.require_sort(category)
     n = len(tokens)

@@ -164,36 +164,12 @@ def test_enumerate_sample_deterministic():
     assert len(first[1].splitlines()) == 4
 
 
-def test_ambiguity_cap_env_var(monkeypatch):
-    monkeypatch.setenv("COMPTRANS_AMBIGUITY_CAP", "1")
-    code, _, err = run_cli("parse", f"{F}/en-np.cg", "--semantics", f"{F}/np-sem.cg", "--utterance", "the cat")
+def test_cap_flag():
+    argv = ("parse", f"{F}/en-np.cg", "--semantics", f"{F}/np-sem.cg", "--utterance", "the cat", "--cap")
+    code, _, err = run_cli(*argv, "1")
     assert code == 3
     assert "ambiguity cap" in err
-    monkeypatch.setenv("COMPTRANS_AMBIGUITY_CAP", "100")
-    code, out, _ = run_cli("parse", f"{F}/en-np.cg", "--semantics", f"{F}/np-sem.cg", "--utterance", "the cat")
-    assert code == 0 and out == "R1(the, cat)\n"
-
-
-def test_malformed_cap_env_var_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("COMPTRANS_AMBIGUITY_CAP", "plenty")
-    code, _, err = run_cli("parse", f"{F}/paper-example.cg", "--utterance", "b")
-    assert code == 2
-    assert "COMPTRANS_AMBIGUITY_CAP" in err
-
-
-def test_cap_flag_overrides(monkeypatch):
-    monkeypatch.setenv("COMPTRANS_AMBIGUITY_CAP", "1")
-    code, out, _ = run_cli(
-        "parse",
-        f"{F}/en-np.cg",
-        "--semantics",
-        f"{F}/np-sem.cg",
-        "--utterance",
-        "the cat",
-        "--cap",
-        "50",
-    )
-    assert code == 0 and out == "R1(the, cat)\n"
+    assert run_cli(*argv, "50") == (0, "R1(the, cat)\n", "")
 
 
 def test_usage_error_exit_code():
@@ -266,6 +242,15 @@ def test_json_output_validates_against_shipped_schema(argv):
     assert code in (0, 1)
     doc = json.loads(out)
     jsonschema.validate(doc, schema())
+
+
+def test_witness_json_without_depth_has_null_depth():
+    # with no bound the rounds run until the states saturate
+    code, out, _ = run_cli("witness", f"{F}/enfr-np-broken.cgp", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema())
+    assert doc["depth"] is None
 
 
 def test_byte_identical_output_across_runs():

@@ -30,7 +30,7 @@ from comptrans.pipeline import realized_categories
 from oracles import canonical_key, labels_by_enumeration
 from test_cli import run_cli
 from test_random_grammars import MAX_SEM_TREES, random_component, random_grammar
-from test_witness import DEEP, S_S_GRAMMAR
+from test_witness import CHAIN_SEED, DEEP, S_S_GRAMMAR, chain_pair
 
 
 def random_correspondence(rng: random.Random, pair) -> CategoryCorrespondence:
@@ -79,6 +79,8 @@ def test_states_match_enumeration(seed, depth):
     expected = labels_by_enumeration(pair, corr, depth)
     got = validate_labels(pair, corr, depth)
     assert got.verdict == expected.verdict
+    # the states saturate well within DEEP rounds, so the unbounded check agrees
+    assert validate_labels(pair, corr) == validate_labels(pair, corr, DEEP)
     assert is_sublist(got.violations, expected.violations)
 
     def failing(v):
@@ -116,7 +118,7 @@ def timed_labels_check(pair_file, *extra):
 
 
 def test_binary_recursive_labels_are_decided_quickly(tmp_path):
-    # t(d) = 1 + t(d-1)^2 semantic trees: 458,330 at the default depth 6
+    # t(d) = 1 + t(d-1)^2 semantic trees: 458,330 up to depth 6
     pair_file = write_pair(tmp_path, "S", "Sbar -> { S } conjunctive")
     for extra in ((), ("--depth", str(DEEP))):
         code, out, err = timed_labels_check(pair_file, *extra)
@@ -136,3 +138,19 @@ def test_binary_recursive_label_failure_is_one_violation(tmp_path):
     [violation] = json.loads(outputs[0])["report"]["violations"]
     assert violation["category"] == "T"
     assert violation["sem_tree"] == {"meaning": "a"}
+
+
+def test_unbounded_labels_refute_a_deep_conjunctive_label():
+    # K6 is conjunctive over {X6, Y6}, and some chains into K6 reach only one
+    # of the two; the first has depth 7, so six rounds pass
+    pair = chain_pair(CHAIN_SEED)
+    corr = CategoryCorrespondence(
+        tuple(
+            (f"K{i}", CorrespondenceEntry((f"X{i}", f"Y{i}"), CONJUNCTIVE if i == 6 else DISJUNCTIVE))
+            for i in range(7)
+        )
+    )
+    assert validate_labels(pair, corr, 6).verdict == "pass"
+    report = validate_labels(pair, corr)
+    assert len(report.violations) == 4
+    assert report == validate_labels(pair, corr, DEEP)

@@ -83,6 +83,8 @@ def test_fixpoint_matches_enumeration(seed, depth):
         assert deep == expected
     else:
         assert deep is None or tree_depth(deep) > depth
+    # the states saturate well within DEEP rounds, so the unbounded search agrees
+    assert find_incompleteness_witness(pair) == deep
 
 
 S_S_GRAMMAR = """\
@@ -99,7 +101,7 @@ grammar ss uses ss-sem
 
 
 def test_binary_recursive_pair_is_decided_quickly(tmp_path):
-    # t(d) = 1 + t(d-1)^2 candidate trees: 458,330 at the default depth 6
+    # t(d) = 1 + t(d-1)^2 candidate trees: 458,330 up to depth 6
     (tmp_path / "ss.cg").write_text(S_S_GRAMMAR, encoding="utf-8")
     pair_file = tmp_path / "ss.cgp"
     pair_file.write_text("semantics ss.cg\nsource    ss.cg\ntarget    ss.cg\n", encoding="utf-8")
@@ -167,3 +169,33 @@ def test_deep_chain_witness_matches_enumeration():
     assert format_tree(expected) == "F6b(F5a(F4a(F3a(F2a(F1a(m2))))))"
     for depth in (tree_depth(expected) - 1, tree_depth(expected), DEEP):
         assert find_incompleteness_witness(pair, depth) == witness_by_enumeration(pair, depth)
+
+
+def cg_text(pair) -> str:
+    """The source text of ``pair``'s semantic component and both grammars, as one ``.cg`` file."""
+    sc = pair.source.semantics
+    lines = [f"semantics {sc.name}", f"  semcat {' '.join(sc.categories)}"]
+    lines += [f"  meaning {m.name} : {m.category}" for m in sc.meanings]
+    lines += [f"  mrule {r.name} : ( {' '.join(r.arg_list)} ) -> {r.result}" for r in sc.rules]
+    for g in (pair.source, pair.target):
+        lines += ["", f"grammar {g.name} uses {sc.name}", f"  syncat {' '.join(g.categories)}"]
+        for b in g.basics:
+            lines.append(f'  basic {b.name} : {b.category} = "{" ".join(b.surface)}" => {" ".join(b.meanings)}')
+        for r in g.rules:
+            template = " ".join(f'"{x}"' if isinstance(x, str) else f"${x}" for x in r.template)
+            signature = f"( {' '.join(r.arg_list)} ) -> {r.result}"
+            lines.append(f"  rule {r.name} : {signature} = {template} => {' '.join(r.meanings)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_unbounded_search_finds_the_deep_chain_witness(tmp_path):
+    # six rounds miss the depth-7 witness; with no bound the rounds run until
+    # the states saturate, in the library and in the CLI
+    pair = chain_pair(CHAIN_SEED)
+    assert find_incompleteness_witness(pair, 6) is None
+    assert format_tree(find_incompleteness_witness(pair)) == "F6b(F5a(F4a(F3a(F2a(F1a(m2))))))"
+    (tmp_path / "chain.cg").write_text(cg_text(pair), encoding="utf-8")
+    pair_file = tmp_path / "chain.cgp"
+    pair_file.write_text("semantics chain.cg\nsource chain.cg src\ntarget chain.cg tgt\n", encoding="utf-8")
+    assert run_cli("witness", pair_file) == (1, "F6b(F5a(F4a(F3a(F2a(F1a(m2))))))\n", "")
+    assert run_cli("witness", pair_file, "--depth", "6") == (0, "none\n", "")
