@@ -25,10 +25,9 @@ from comptrans import (
     format_tree,
     infer_n1_map,
     load_pair,
-    translate_sem,
     validate_labels,
-    well_formed_sem_trees,
 )
+from comptrans.pipeline import realized_categories
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,10 +51,9 @@ def main():
     print("labeled set condition:", check_nn_completeness(enfr.pair, enfr.correspondence).verdict)
     print("label validation (exact, states saturate):", validate_labels(enfr.pair, enfr.correspondence).verdict)
 
-    # the exhaustive bounded check agrees with the static verdict
-    trees = well_formed_sem_trees(enfr.pair.source, 4)
-    assert all(translate_sem(enfr.pair, d) for d in trees)
-    print(f"all {len(trees)} derivable interlingua trees (depth <= 4) translate")
+    # the exact witness search agrees with the static verdict
+    assert find_incompleteness_witness(enfr.pair) is None
+    print("witness search: none at any depth, so every derivable interlingua tree translates")
 
     show("broken pair: the checker's complaint is a real failure")
     broken = load_pair(FIXTURES / "enfr-np-broken.cgp")
@@ -65,7 +63,9 @@ def main():
         print(f"  {v.message}")
     witness = find_incompleteness_witness(broken.pair, max_depth=3)
     print("witness:", format_tree(witness))
-    print("its translations:", translate_sem(broken.pair, witness))
+    realized = realized_categories(broken.pair.target, witness)
+    assert not realized
+    print("target categories realizing it:", ", ".join(sorted(realized)) or "none")
 
     show("the conditions are sufficient, not necessary")
     masc = load_pair(FIXTURES / "enfr-np-masc.cgp")

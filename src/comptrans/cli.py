@@ -7,6 +7,7 @@ flags is byte-identical across runs.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -138,6 +139,8 @@ def _need_correspondence(loaded: LoadedPair, condition: str):
 
 
 def _cmd_check(args):
+    if args.depth is not None and args.condition != "labels":
+        raise ComptransError("--depth bounds only --condition labels")
     loaded = load_pair(args.path)
     condition = args.condition
     if condition is None:
@@ -280,7 +283,11 @@ def main(argv=None) -> int:
         code, doc, text = args.func(args)
         text = dump_json(doc) if args.format == "json" else text
         if text:
-            print(text)
+            print(text, flush=True)
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; the rest goes to nowhere, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)

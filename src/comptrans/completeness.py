@@ -163,13 +163,13 @@ def _interpretation_links(g: CompositionalGrammar):
     Yields ``(carrier, meaning, role, syntactic category, semantic category)``
     where ``role`` is ``"basic"``, ``"argument <i>"`` (1-based) or ``"result"``.
     """
-    sc = g.semantics
+    sem_sig = g.semantics.signature
     for b in sorted(g.basics, key=lambda x: x.name):
         for m in b.meanings:
-            yield b, m, "basic", b.category, sc.meaning_by_name[m].category
+            yield b, m, "basic", b.category, sem_sig.leaf_by_name[m].category
     for r in sorted(g.rules, key=lambda x: x.name):
         for m in r.meanings:
-            sem = sc.rule_by_name[m]
+            sem = sem_sig.op_by_name[m]
             for i, (syn_arg, sem_arg) in enumerate(zip(r.arg_list, sem.arg_list), start=1):
                 yield r, m, f"argument {i}", syn_arg, sem_arg
             yield r, m, "result", r.result, sem.result
@@ -298,25 +298,27 @@ def _nn_coverage_violations(
 ) -> list[Violation]:
     """Every semantic symbol needs a target carrier for every correspondence case.
 
-    A case fixes one category per disjunctive argument and, for a conjunctive
-    result, the result category. A basic meaning is a symbol with no
-    arguments, so its cases are the categories of a conjunctive set, or one
-    case for a disjunctive set.
+    A case fixes one category per disjunctive argument, keeps each conjunctive
+    argument free within its set, and, for a conjunctive result, fixes the
+    result category. A basic meaning is a symbol with no arguments, so its
+    cases are the categories of a conjunctive set, or one case for a
+    disjunctive set. A case is covered when the node over children realized
+    at its argument categories is realized at its result.
     """
     tgt = pair.target
     violations: list[Violation] = []
     for leaf, symbols in ((True, tgt.semantics.meanings), (False, tgt.semantics.rules)):
         for sem in sorted(symbols, key=lambda x: x.name):
-            labels = [corr.label_for(c) for c in sem.arg_list]
-            disj_idx = [i for i, lab in enumerate(labels) if lab == DISJUNCTIVE]
-            conj_idx = [i for i, lab in enumerate(labels) if lab == CONJUNCTIVE]
-            conj_sets = {i: set(corr.categories_for(sem.arg_list[i])) for i in conj_idx}
-            disj_sets = [corr.categories_for(sem.arg_list[i]) for i in disj_idx]
+            disj = [corr.label_for(c) == DISJUNCTIVE for c in sem.arg_list]
+            choices = [
+                [(c,) for c in corr.categories_for(a)] if d else [corr.categories_for(a)]
+                for a, d in zip(sem.arg_list, disj)
+            ]
             result_set = corr.categories_for(sem.result)
             result_label = corr.label_for(sem.result)
             result_conj = result_label == CONJUNCTIVE
 
-            n_cases = math.prod(len(s) for s in disj_sets) * (len(result_set) if result_conj else 1)
+            n_cases = math.prod(map(len, choices)) * (len(result_set) if result_conj else 1)
             if not leaf and n_cases > tuple_cap:
                 raise TupleCapError(
                     f"semantic rule '{sem.name}' needs {n_cases} correspondence tuples, "
@@ -324,41 +326,26 @@ def _nn_coverage_violations(
                     tuple_cap,
                 )
 
-            candidates = tgt.inverse_interpretation.images(sem.name, leaf)
-
-            def matches(rule, tup, required_result):
-                for pos, i in enumerate(disj_idx):
-                    if rule.arg_list[i] != tup[pos]:
-                        return False
-                for i in conj_idx:
-                    if rule.arg_list[i] not in conj_sets[i]:
-                        return False
-                if required_result is None:
-                    return rule.result in result_set
-                return rule.result == required_result
-
-            for tup in itertools.product(*disj_sets):
-                required = list(result_set) if result_conj else [None]
-                for req in required:
-                    if any(matches(r, tup, req) for r in candidates):
-                        continue
+            carriers = tgt.inverse_interpretation.images(sem.name, leaf)
+            for below in itertools.product(*choices):
+                realized = realize_node(carriers, below)
+                if result_conj:
+                    missing = [c for c in result_set if c not in realized]
+                else:
+                    missing = [None] if realized.isdisjoint(result_set) else []
+                tup = tuple(cats[0] for cats, d in zip(below, disj) if d)
+                for req in missing:
                     shown = req if req is not None else f"any of {{{', '.join(result_set)}}}"
                     if leaf:
                         where = f"of category '{req}'" if req is not None else f"in {shown}"
-                        violations.append(
-                            Violation(
-                                kind="missing-basic",
-                                message=(
-                                    f"meaning '{sem.name}' ({result_label} '{sem.result}') has no "
-                                    f"target basic {where}"
-                                ),
-                                meaning=sem.name,
-                                category=req,
-                            )
+                        v = Violation(
+                            kind="missing-basic",
+                            message=f"meaning '{sem.name}' ({result_label} '{sem.result}') has no target basic {where}",
+                            meaning=sem.name,
+                            category=req,
                         )
-                        continue
-                    violations.append(
-                        Violation(
+                    else:
+                        v = Violation(
                             kind="missing-rule",
                             message=(
                                 f"semantic rule '{sem.name}' : {_type_notation(sem.arg_list, sem.result)}: "
@@ -369,7 +356,7 @@ def _nn_coverage_violations(
                             arg_tuple=tup,
                             category=req,
                         )
-                    )
+                    violations.append(v)
     return violations
 
 

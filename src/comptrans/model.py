@@ -179,11 +179,6 @@ class SemanticComponent:
     def signature(self) -> Signature:
         return Signature(SEMANTICS, self.name, self.categories, self.meanings, self.rules)
 
-    meaning_by_name = property(lambda self: self.signature.leaf_by_name)
-    rule_by_name = property(lambda self: self.signature.op_by_name)
-    meanings_by_category = property(lambda self: self.signature.leaves_by_sort)
-    rules_by_result = property(lambda self: self.signature.ops_by_result)
-
 
 @dataclass(frozen=True)
 class BasicExpression(_Constant):
@@ -251,7 +246,7 @@ class CompositionalGrammar:
         sorter = graphlib.TopologicalSorter()
         for r in self.rules:
             unary = len(r.template) == 1 and isinstance(r.template[0], int)
-            sorter.add(r, *(self.rules_by_result[r.arg_list[0]] if unary else ()))
+            sorter.add(r, *(self.signature.ops_by_result[r.arg_list[0]] if unary else ()))
         try:
             return tuple(sorter.static_order())
         except graphlib.CycleError as err:
@@ -261,10 +256,6 @@ class CompositionalGrammar:
                 + " -> ".join(r.arg_list[0] for r in cycle)
                 + f" (rule '{cycle[-2].name}')"
             ) from None
-
-    basic_by_name = property(lambda self: self.signature.leaf_by_name)
-    rule_by_name = property(lambda self: self.signature.op_by_name)
-    rules_by_result = property(lambda self: self.signature.ops_by_result)
 
 
 @dataclass(frozen=True)

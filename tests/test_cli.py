@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import comptrans
 from comptrans.cli import main
 from comptrans.render import schema
 from conftest import FIXTURES
@@ -295,3 +299,28 @@ def test_tree_deeper_than_recursion_limit_is_a_resource_error(tmp_path):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "recursion limit" in err
+
+
+@pytest.mark.parametrize(
+    "condition", [(), ("--condition", "nn"), ("--condition", "n1"), ("--condition", "homomorphism")]
+)
+def test_depth_outside_labels_is_a_usage_error(condition):
+    code, out, err = run_cli("check", f"{F}/enfr-np.cgp", *condition, "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--condition labels" in err
+
+
+def test_closed_stdout_keeps_the_exit_code_and_stderr_quiet():
+    # the reader is gone before the command writes, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(comptrans.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "comptrans.cli", "witness", f"{F}/enfr-np-broken.cgp", "--format", "json"]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

@@ -1,6 +1,10 @@
 """Completeness checkers, label validation, and witness search."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptrans import (
     CONJUNCTIVE,
@@ -26,6 +30,9 @@ from comptrans import (
     well_formed_sem_trees,
     witness_report,
 )
+from oracles import nn_by_matching
+from test_labels import random_correspondence
+from test_random_grammars import random_component, random_grammar
 
 # source carries M1, target rules carry only M2: rule-level coverage fails
 # while every interpretation set stays non-empty
@@ -174,6 +181,33 @@ def test_nn_requires_full_coverage(enfr):
 def test_nn_tuple_cap(enfr):
     with pytest.raises(TupleCapError):
         check_nn_completeness(enfr.pair, enfr.correspondence, tuple_cap=1)
+
+
+def test_nn_tuple_cap_boundary(enfr):
+    # M1 has one disjunctive argument of two categories, so it needs 2 cases
+    report = check_nn_completeness(enfr.pair, enfr.correspondence)
+    assert check_nn_completeness(enfr.pair, enfr.correspondence, tuple_cap=2) == report
+    with pytest.raises(TupleCapError, match="'M1' needs 2 correspondence tuples, over the cap of 1"):
+        check_nn_completeness(enfr.pair, enfr.correspondence, tuple_cap=1)
+
+
+def nn_outcome(check, pair, corr, tuple_cap):
+    try:
+        return check(pair, corr, tuple_cap)
+    except TupleCapError as e:
+        return "cap", str(e), e.limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), tuple_cap=st.integers(min_value=1, max_value=12))
+def test_nn_matches_the_matching_oracle(seed, tuple_cap):
+    rng = random.Random(seed)
+    sc = random_component(rng)
+    pair = validate_pair(random_grammar(rng, "src", sc), random_grammar(rng, "tgt", sc))
+    corr = random_correspondence(rng, pair)
+    expected = nn_outcome(nn_by_matching, pair, corr, tuple_cap)
+    assert nn_outcome(check_nn_completeness, pair, corr, tuple_cap) == expected
+    assert repr(check_nn_completeness(pair, corr)) == repr(nn_by_matching(pair, corr, 10**6))
 
 
 def test_nn_missing_basic_on_masc(enfr_masc):

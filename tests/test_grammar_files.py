@@ -64,12 +64,12 @@ def test_arity_matches_every_associated_semantic_rule(paper_grammar, enfr):
     for g in (paper_grammar, enfr.pair.source, enfr.pair.target):
         for r in g.rules:
             for m in r.meanings:
-                assert g.semantics.rule_by_name[m].arity == r.arity
+                assert g.semantics.signature.op_by_name[m].arity == r.arity
 
 
 def test_multi_token_surface_allowed():
     g = load_grammar(mini_grammar('  syncat V\n  basic kick : V = "kicked" "the" "bucket" => x\n'))
-    assert g.basic_by_name["kick"].surface == ("kicked", "the", "bucket")
+    assert g.signature.leaf_by_name["kick"].surface == ("kicked", "the", "bucket")
 
 
 def test_comments_and_blank_lines_ignored():

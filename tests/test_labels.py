@@ -52,11 +52,11 @@ def random_correspondence(rng: random.Random, pair) -> CategoryCorrespondence:
 
 def sem_trees_up_to(sc, depth: int) -> int:
     """How many well-typed semantic trees of depth <= ``depth`` ``sc`` has, counted without building them."""
-    leaves = {c: len(sc.meanings_by_category[c]) for c in sc.categories}
+    leaves = {c: len(sc.signature.leaves_by_sort[c]) for c in sc.categories}
     count = dict(leaves)
     for _ in range(depth - 1):
         count = {
-            c: leaves[c] + sum(math.prod(count[a] for a in r.arg_list) for r in sc.rules_by_result[c])
+            c: leaves[c] + sum(math.prod(count[a] for a in r.arg_list) for r in sc.signature.ops_by_result[c])
             for c in sc.categories
         }
     return sum(count.values())

@@ -117,10 +117,10 @@ def observed_correspondence(target: CompositionalGrammar) -> CategoryCorresponde
     sets: dict[str, set] = {c: set() for c in sc.categories}
     for b in target.basics:
         for m in b.meanings:
-            sets[sc.meaning_by_name[m].category].add(b.category)
+            sets[sc.signature.leaf_by_name[m].category].add(b.category)
     for r in target.rules:
         for m in r.meanings:
-            sem = sc.rule_by_name[m]
+            sem = sc.signature.op_by_name[m]
             for sem_arg, syn_arg in zip(sem.arg_list, r.arg_list):
                 sets[sem_arg].add(syn_arg)
             sets[sem.result].add(r.result)
