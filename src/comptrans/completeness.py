@@ -14,11 +14,11 @@ well-formed target utterance?
   argument tuple.
 * ``validate_labels`` refutes the conjunctive labels the target grammar
   cannot honor, and ``find_incompleteness_witness``, the ground truth, finds
-  the smallest well-formed source semantic derivation tree with no
-  translation. Both run one bottom-up fixpoint over the states of semantic
-  trees, the categories that realize them, until no new state appears; there
-  are finitely many states, so it always stops, and the answer holds at every
-  depth.
+  the least well-typed source-derivable semantic tree with no translation.
+  Both run :func:`~comptrans.trees.state_rounds`, one bottom-up fixpoint over
+  the states of well-typed semantic trees, a tree's sort and the categories
+  that realize it, until no new state appears; there are finitely many
+  states, so it always stops, and the answer holds at every depth.
 
 A passing n1 check is a proof, and so is a passing nn check whose labels pass;
 a witness is always a real counterexample.
@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ComptransError, CorrespondenceError, TupleCapError
-from .model import CompositionalGrammar, GrammarPair, Relabelling, Signature
-from .pipeline import realize_node
-from .trees import SemLeaf, SemNode, SemTree, format_tree
+from .errors import CorrespondenceError, TupleCapError
+from .model import CompositionalGrammar, GrammarPair
+from .trees import SemTree, format_tree, realize_node, state_rounds
 
 # Unused here; bench/tracing.py times the calls made through these names, so
 # they stay bound in this module.
@@ -392,12 +391,10 @@ def validate_labels(
     rounds before the states saturate.
     """
     _require_coverage(pair, corr)
-    sem = pair.target.semantics.signature
-    # the identity relabelling realizes exactly the well-typed trees, each at its category
-    identity = Relabelling(sem, sem, {m.name: (m,) for m in sem.leaves}, {r.name: (r,) for r in sem.ops})
-    rounds = _state_rounds(sem, identity, pair.target.inverse_interpretation, max_depth)
+    tgt = pair.target
+    rounds = state_rounds(tgt.semantics.signature, [tgt.inverse_interpretation], max_depth)
     # trees differ, since a tree has one state, so the sort never compares R
-    states = sorted((*s, d, r) for new in rounds for (s, r), d in new.items())
+    states = sorted((sem_cat, d, r) for new in rounds for (sem_cat, r), d in new.items())
     violations = tuple(
         Violation(
             kind="label",
@@ -416,54 +413,17 @@ def validate_labels(
     return CompletenessReport(condition="labels", violations=violations)
 
 
-def _state_rounds(sig: Signature, left, right, max_depth: int | None = None):
-    """Round by round, the states first reached by trees over ``sig``.
-
-    The state of a tree is ``(S, R)``, the categories ``left`` and ``right``
-    realize it at; trees with an empty ``S`` are dropped. Round ``k`` maps each
-    new state to its least tree, of depth ``k``: a root over its children's
-    least trees, the canonical order being lexicographic. The rounds stop
-    after one adding no state, when no tree of any depth has a state not yet
-    yielded, or after ``max_depth`` rounds if given.
-    """
-    if max_depth is not None and max_depth < 1:
-        raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
-    best: dict = {}  # (S, R) -> the least tree of that state found so far
-    for _ in itertools.count() if max_depth is None else range(max_depth):
-        grown = dict(best)
-        leaf = not best  # the first round builds the leaves, every later one the operators
-        for x in sig.leaves if leaf else sig.ops:
-            carriers, images = left.images(x.name, leaf), right.images(x.name, leaf)
-            # a child can only fit an argument some carrier accepts there
-            fits = zip(*(c.arg_list for c in carriers))
-            pools = [[item for item in best.items() if item[0][0] & set(cats)] for cats in fits]
-            # children holds one ((S, R), tree) item per argument
-            for children in itertools.product(*pools):
-                s_cats = realize_node(carriers, [s for (s, _), _ in children])
-                if not s_cats:
-                    continue
-                state = (s_cats, realize_node(images, [r for (_, r), _ in children]))
-                tree = SemLeaf(x.name) if leaf else SemNode(x.name, tuple(t for _, t in children))
-                if state not in grown or tree < grown[state]:
-                    grown[state] = tree
-        new = {state: tree for state, tree in grown.items() if state not in best}
-        if not new:
-            return
-        yield new
-        best = grown
-
-
 def find_incompleteness_witness(pair: GrammarPair, max_depth: int | None = None) -> SemTree | None:
-    """Smallest well-formed source semantic derivation tree with no translation.
+    """Smallest well-typed source-derivable semantic tree with no translation.
 
-    The least tree, by depth and then canonical order, whose state (source
-    categories, target categories) has no target category. None means no
+    The least tree, by depth and then canonical order, whose state (sort,
+    source categories, target categories) has no target category. None means no
     witness at any depth, or, given ``max_depth``, none up to that depth.
     """
     src, tgt = pair.source, pair.target
-    sem = src.semantics.signature
-    for new in _state_rounds(sem, src.inverse_interpretation, tgt.inverse_interpretation, max_depth):
-        lost = [tree for (_, r), tree in new.items() if not r]
+    sides = [src.inverse_interpretation, tgt.inverse_interpretation]
+    for new in state_rounds(src.semantics.signature, sides, max_depth):
+        lost = [tree for (_, _, r), tree in new.items() if not r]
         if lost:
             return min(lost)
     return None

@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ComptransError
-from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, SemanticComponent
+from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, SemanticComponent, Signature
 
 Component = CompositionalGrammar | SemanticComponent
 
@@ -166,13 +166,58 @@ def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
 enumerate_syn_trees = enumerate_sem_trees = enumerate_trees
 
 
-def _min_depths(leaves: dict, rules: dict) -> dict[str, float]:
-    """The least depth of a tree of each sort, ``inf`` for a sort with no tree."""
-    md = {c: 1 if leaves[c] else math.inf for c in leaves}
-    for _ in md:  # no sort repeats on a path of a least tree, so one round per sort suffices
-        for c in md:
-            md[c] = min([md[c], *(1 + max(md[a] for a in args) for _, args in rules[c])])
-    return md
+def realize_node(images, below) -> frozenset[str]:
+    """Categories a node is realized at, given its symbol's carriers ``images``.
+
+    ``below`` holds the categories each child is realized at; the node is
+    realized at the result of every carrier whose argument list the children
+    fit.
+    """
+    return frozenset(
+        r.result
+        for r in images
+        if len(r.arg_list) == len(below) and all(a in cats for a, cats in zip(r.arg_list, below))
+    )
+
+
+def state_rounds(sig: Signature, sides=(), max_depth: int | None = None):
+    """Round by round, the states first reached by the well-formed trees over ``sig``.
+
+    A tree's state is its sort, followed by the categories at which each
+    relabelling in ``sides`` realizes it (:func:`realize_node`, bottom-up); a
+    tree that some side other than the last realizes nowhere is dropped. Round
+    ``k`` maps each new state to its least tree, of depth ``k``: a root over
+    its children's least trees, the canonical order being lexicographic. The
+    rounds stop after one adding no state, when no tree of any depth has a
+    state not yet yielded, or after ``max_depth`` rounds if given.
+    """
+    if max_depth is not None and max_depth < 1:
+        raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
+    make_leaf, make_node = TREE_TYPES[sig.kind]
+    best: dict = {}  # state -> the least tree of that state found so far
+    for _ in itertools.count() if max_depth is None else range(max_depth):
+        grown = dict(best)
+        leaf = not best  # the first round builds the leaves, every later one the operators
+        pools: dict[str, list] = {s: [] for s in sig.sorts}  # sort -> its (state, tree) items
+        for item in best.items():
+            pools[item[0][0]].append(item)
+        for x in sig.leaves if leaf else sig.ops:
+            carriers = [side.images(x.name, leaf) for side in sides]
+            for children in itertools.product(*(pools[a] for a in x.arg_list)):
+                state = (x.result,)
+                for i, c in enumerate(carriers, 1):
+                    if state[-1]:  # the sides after one realizing nothing are skipped
+                        state += (realize_node(c, [s[i] for s, _ in children]),)
+                if len(state) <= len(sides):  # a side before the last realizes nothing
+                    continue
+                tree = make_leaf(x.name) if leaf else make_node(x.name, tuple(t for _, t in children))
+                if state not in grown or tree < grown[state]:
+                    grown[state] = tree
+        new = {state: tree for state, tree in grown.items() if state not in best}
+        if not new:
+            return
+        yield new
+        best = grown
 
 
 def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree | None:
@@ -182,7 +227,9 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
     ``enumerate_trees(c, cat, max_depth)``.
     """
     leaves, rules, make_leaf, make_node = _view(c, cat)
-    md = _min_depths(leaves, rules)
+    md = dict.fromkeys(leaves, math.inf)  # the least depth of a tree of each sort
+    for depth, new in enumerate(state_rounds(c.signature), 1):
+        md.update((sort, depth) for sort, in new)
     if md[cat] > max_depth:
         return None
     rng = random.Random(seed)

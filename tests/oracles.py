@@ -35,6 +35,7 @@ from comptrans import (
     enumerate_sem_trees,
     format_tree,
     is_cfg_well_formed,
+    is_sem_well_typed,
     seman,
     semgen,
     syn_cat,
@@ -138,9 +139,9 @@ def realized_categories_by_generation(grammar, d):
 
 
 def witness_by_enumeration(pair, max_depth):
-    """First source-derivable semantic tree, smallest depth then canonical order, with no translation."""
+    """First well-typed source-derivable semantic tree, smallest depth then canonical order, with no translation."""
     for d in well_formed_sem_trees(pair.source, max_depth):
-        if not translate_sem(pair, d):
+        if is_sem_well_typed(pair.source.semantics, d) and not translate_sem(pair, d):
             return d
     return None
 

@@ -138,6 +138,18 @@ def test_witness_found_and_not_found():
     assert out == "none\n"
 
 
+def test_ill_typed_source_meaning_is_no_witness():
+    # the source derives R(b), whose meaning F1(m2) is ill-typed; only that
+    # tree would need the target's missing U, so n1 passes and nothing is lost
+    pair = f"{F}/ill-typed.cgp"
+    assert run_cli("check", pair, "--condition", "n1") == (0, "check n1 for src -> tgt: PASS\n", "")
+    assert run_cli("witness", pair) == (0, "none\n", "")
+    code, out, err = run_cli("translate", pair, "--utterance", "y x", "--trace")
+    assert (code, err) == (0, "")
+    assert "  F1(m2) [ill-typed]\n" in out
+    assert out.endswith("translations (0):\n")
+
+
 def test_enumerate_text():
     code, out, _ = run_cli(
         "enumerate", f"{F}/paper-example.cg", "--cat", "A", "--depth", "2"
@@ -283,7 +295,8 @@ grammar list uses list-sem
 def test_tree_deeper_than_recursion_limit_is_a_resource_error(tmp_path):
     # one right-recursive parse, 250 levels deep, under a lowered limit: the
     # frames a tree level takes differ between interpreters, and under the
-    # default limit 3.12 and 3.13 translate 400 tokens that 3.10 and 3.11 fail
+    # default limit 3.10 and 3.11 translate 400 tokens and fail at 500, 3.12
+    # translates 600 and fails at 900, and 3.13 translates 800 and fails at 1,000
     (tmp_path / "list.cg").write_text(LIST_GRAMMAR)
     pair = tmp_path / "list.cgp"
     pair.write_text("semantics list.cg\nsource list.cg\ntarget list.cg\n")

@@ -1,7 +1,7 @@
 """Conjunctive labels, decided over states, against the enumeration check.
 
 ``validate_labels`` runs the state fixpoint the witness search runs, with the
-semantic signature as its own source: the state of a semantic tree is its
+target as its only side: the state of a well-typed semantic tree is its
 category and the target categories that realize it, and each failing state is
 reported once, with its shallowest and then canonically least tree. The
 reference (``oracles.labels_by_enumeration``) is the check it replaced: every

@@ -7,7 +7,10 @@ source/target grammar over it, then checks the load-bearing claims:
 * analysis and generation are dual and geometry-preserving,
 * a passing static completeness check means the bounded exhaustive witness
   search comes up empty (the conditions really are sufficient),
-* any witness found is honest: derivable by the source and untranslatable.
+* any witness found is honest: derivable by the source and untranslatable,
+* and, over a fixed sweep of seeds with no depth bound, the exact witness
+  search never contradicts a passing n1 check or a passing nn check whose
+  labels pass.
 
 Grammars are kept tiny so the exhaustive parts stay exhaustive; trials whose
 enumerations still blow past the guards are skipped for the expensive parts.
@@ -23,6 +26,7 @@ from comptrans import (
     AmbiguityCapError,
     BasicExpression,
     BasicMeaning,
+    CONJUNCTIVE,
     CategoryCorrespondence,
     CompositionalGrammar,
     CorrespondenceEntry,
@@ -37,6 +41,7 @@ from comptrans import (
     enumerate_syn_trees,
     find_incompleteness_witness,
     is_cfg_well_formed,
+    is_sem_well_typed,
     morsynan,
     morsyngen,
     seman,
@@ -44,10 +49,12 @@ from comptrans import (
     translate_sem,
     tree_depth,
     validate_grammar,
+    validate_labels,
     validate_pair,
     validate_semantics,
     well_formed_sem_trees,
 )
+from comptrans.pipeline import realized_categories
 from oracles import canonical_key, generable_utterances, parse_oracle
 
 TERMINALS = ["u", "v", "w"]
@@ -237,3 +244,52 @@ def test_trials_cover_both_outcomes():
             continue
         verdicts.add(find_incompleteness_witness(pair, DEPTH) is None)
     assert verdicts == {True, False}
+
+
+SWEEP = 3000
+
+
+def proper_subtrees(t):
+    for c in t.children:
+        yield c
+        yield from proper_subtrees(c)
+
+
+def test_conditions_are_sufficient_over_an_exact_sweep():
+    """The paper's guarantee, with no depth bound and no size skip.
+
+    Over seeds 0-2,999, drawn as in the trials, the correspondence is the
+    observed sets with a random label per category. A passing n1 check, or a
+    passing nn check whose labels pass, rules out a witness, and every witness
+    is a well-typed tree the source realizes and the target does not, though
+    it realizes every proper subtree. The conditions are sufficient, not
+    necessary: 1,183 of the pairs fail nn or labels yet have no witness.
+    """
+    proved = conjunctive = 0
+    for seed in range(SWEEP):
+        rng = random.Random(seed)
+        sc = random_component(rng)
+        source = random_grammar(rng, "src", sc)
+        target = random_grammar(rng, "tgt", sc)
+        pair = validate_pair(source, target)
+        corr = CategoryCorrespondence(
+            tuple(
+                (c, CorrespondenceEntry(e.categories, rng.choice((CONJUNCTIVE, DISJUNCTIVE))))
+                for c, e in observed_correspondence(target).entries
+            )
+        )
+        witness = find_incompleteness_witness(pair)
+        if witness is not None:
+            assert is_sem_well_typed(sc, witness), seed
+            assert realized_categories(source, witness), seed
+            assert not realized_categories(target, witness), seed
+            assert all(realized_categories(target, d) for d in proper_subtrees(witness)), seed
+        if check_n1_completeness(pair).passed:
+            assert witness is None, seed
+        if check_nn_completeness(pair, corr).passed and validate_labels(pair, corr).passed:
+            assert witness is None, seed
+            proved += 1
+            conjunctive += any(e.label == CONJUNCTIVE and len(e.categories) >= 2 for _, e in corr.entries)
+    # 75 and 31 when written; the generator must not hollow the property out
+    assert proved >= 50
+    assert conjunctive >= 20

@@ -1,10 +1,10 @@
 """The incompleteness witness, decided over states, against the enumeration search.
 
 ``find_incompleteness_witness`` runs a bottom-up fixpoint over the states
-(source categories, target categories) of semantic trees. The reference is
-the search it replaced (``oracles.witness_by_enumeration``): every
-source-derivable semantic tree up to the depth bound, smallest depth first
-and then in canonical order, translated one by one.
+(sort, source categories, target categories) of well-typed semantic trees.
+The reference is the search it replaced (``oracles.witness_by_enumeration``):
+every well-typed source-derivable semantic tree up to the depth bound,
+smallest depth first and then in canonical order, translated one by one.
 """
 
 import math
