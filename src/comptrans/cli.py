@@ -9,7 +9,6 @@ flags is byte-identical across runs.
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .completeness import (
@@ -20,7 +19,7 @@ from .completeness import (
     witness_report,
 )
 from .errors import ComptransError, ResourceLimitError
-from .loader import FileContents, LoadedPair, load_pair, parse_file, pick
+from .loader import FileContents, LoadedPair, load_pair, parse_file, pick, read_text
 from .model import SemanticComponent
 from .parsing import DEFAULT_AMBIGUITY_CAP, morsynan
 from .pipeline import translate
@@ -44,13 +43,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _parse_into(env: dict[str, SemanticComponent], path: str) -> FileContents:
     """Parse one grammar file; its semantic components join ``env`` for later files."""
-    contents = parse_file(_read(path), path, env)
+    contents = parse_file(read_text(path), path, env)
     env.update((sc.name, sc) for sc in contents.semantics)
     return contents
 

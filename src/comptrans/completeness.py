@@ -125,7 +125,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
     """Every source basic meaning and semantic rule must have a target carrier."""
     src, tgt = pair.source, pair.target
     violations: list[Violation] = []
-    for b in sorted(src.basics, key=lambda x: x.name):
+    for b in src.signature.leaves:
         for m in b.meanings:
             if not tgt.inverse_interpretation.leaves[m]:
                 violations.append(
@@ -139,7 +139,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
                         meaning=m,
                     )
                 )
-    for r in sorted(src.rules, key=lambda x: x.name):
+    for r in src.signature.ops:
         for m in r.meanings:
             if not tgt.inverse_interpretation.ops[m]:
                 violations.append(
@@ -157,16 +157,16 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
 
 
 def _interpretation_links(g: CompositionalGrammar):
-    """Every interpretation link of ``g``, basics then rules, each sorted by name.
+    """Every interpretation link of ``g``, basics then rules, each in name order.
 
     Yields ``(carrier, meaning, role, syntactic category, semantic category)``
     where ``role`` is ``"basic"``, ``"argument <i>"`` (1-based) or ``"result"``.
     """
     sem_sig = g.semantics.signature
-    for b in sorted(g.basics, key=lambda x: x.name):
+    for b in g.signature.leaves:
         for m in b.meanings:
             yield b, m, "basic", b.category, sem_sig.leaf_by_name[m].category
-    for r in sorted(g.rules, key=lambda x: x.name):
+    for r in g.signature.ops:
         for m in r.meanings:
             sem = sem_sig.op_by_name[m]
             for i, (syn_arg, sem_arg) in enumerate(zip(r.arg_list, sem.arg_list), start=1):
@@ -305,9 +305,10 @@ def _nn_coverage_violations(
     at its argument categories is realized at its result.
     """
     tgt = pair.target
+    sem_sig = tgt.semantics.signature
     violations: list[Violation] = []
-    for leaf, symbols in ((True, tgt.semantics.meanings), (False, tgt.semantics.rules)):
-        for sem in sorted(symbols, key=lambda x: x.name):
+    for leaf, symbols in ((True, sem_sig.leaves), (False, sem_sig.ops)):
+        for sem in symbols:
             disj = [corr.label_for(c) == DISJUNCTIVE for c in sem.arg_list]
             choices = [
                 [(c,) for c in corr.categories_for(a)] if d else [corr.categories_for(a)]

@@ -1,6 +1,7 @@
 """Loader for grammar (.cg) and pair (.cgp) files.
 
-Grammar files are UTF-8 and line-based, with lines split as
+Grammar and pair files are UTF-8; a byte that is not is a format error at
+its line. Grammar files are line-based, with lines split as
 :meth:`str.splitlines` splits them. Tokens are separated by blanks, which are
 spaces and tabs. A quoted token ``"<tok>"`` holds no blank and no quote.
 Outside quotes ``#`` starts a comment; inside quotes it is literal. A comma is
@@ -356,9 +357,22 @@ def load_grammar(
     return contents.grammars[0]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; raises :class:`GrammarFormatError` at the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line and column the byte would have if the text went on past it
+        lines = (data[: e.start].decode("utf-8") + "?").splitlines()
+        raise GrammarFormatError(
+            f"byte 0x{data[e.start]:02x} is not UTF-8", str(path), len(lines), len(lines[-1])
+        ) from None
+
+
 def load_grammar_file(path: str | Path, env: dict[str, SemanticComponent] | None = None) -> CompositionalGrammar:
     p = Path(path)
-    return load_grammar(p.read_text(encoding="utf-8"), str(p), env)
+    return load_grammar(read_text(p), str(p), env)
 
 
 @dataclass(frozen=True)
@@ -385,7 +399,7 @@ def pick(items: tuple, name: str | None, kind: str, path: str, hint: str, error=
 def load_pair(path: str | Path) -> LoadedPair:
     """Load a ``.cgp`` pair file and everything it references."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = read_text(p)
     refs: dict[str, tuple[_LineParser, str, str | None]] = {}
     correspond_lines: list[tuple[_LineParser, str, list[str], str]] = []
 
@@ -418,7 +432,7 @@ def load_pair(path: str | Path) -> LoadedPair:
 
     def contents(rel: str, env=None) -> FileContents:
         path = (p.parent / rel).resolve()
-        return parse_file(path.read_text(encoding="utf-8"), str(path), env)
+        return parse_file(read_text(path), str(path), env)
 
     lp, rel, name = refs["semantics"]
     sem_contents = contents(rel)

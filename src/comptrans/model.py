@@ -51,6 +51,8 @@ class Signature:
 
     Every symbol has ``name``, ``arg_list`` (the argument sorts) and
     ``result``; a leaf is a nullary symbol whose result is its ``category``.
+    ``leaves`` and ``ops`` are put in name order when it is built, so they and
+    the per-sort indexes give every walk over symbols the canonical order.
     """
 
     kind: SignatureKind
@@ -58,6 +60,10 @@ class Signature:
     sorts: tuple[str, ...]
     leaves: tuple
     ops: tuple
+
+    def __post_init__(self):
+        for attr in ("leaves", "ops"):
+            object.__setattr__(self, attr, tuple(sorted(getattr(self, attr), key=attrgetter("name"))))
 
     @property
     def owner(self) -> str:
@@ -97,20 +103,15 @@ class Relabelling:
     """A relation from the symbols of one signature to those of another.
 
     ``leaves`` and ``ops`` map every symbol name of ``source`` to the
-    ``target`` symbols it may be relabelled to, stored in name order. A
-    grammar's interpretation is one, from syntax to semantics; :meth:`inverse`
-    gives the way back.
+    ``target`` symbols it may be relabelled to, which its builders list in name
+    order. A grammar's interpretation is one, from syntax to semantics;
+    :meth:`inverse` gives the way back.
     """
 
     source: Signature
     target: Signature
     leaves: dict[str, tuple]
     ops: dict[str, tuple]
-
-    def __post_init__(self):
-        for attr in ("leaves", "ops"):
-            table = {n: tuple(sorted(xs, key=attrgetter("name"))) for n, xs in getattr(self, attr).items()}
-            object.__setattr__(self, attr, table)
 
     def images(self, name: str, leaf: bool) -> tuple:
         table = self.leaves if leaf else self.ops
@@ -119,14 +120,14 @@ class Relabelling:
         return table[name]
 
     def inverse(self) -> "Relabelling":
-        """The converse relation; preimages come in name order."""
+        """The converse relation; preimages come in name order, as ``source`` lists them."""
 
         def flip(table, sources, targets):
             out: dict[str, list] = {y.name: [] for y in targets}
             for x in sources:
                 for y in table[x.name]:
                     out[y.name].append(x)
-            return out  # the constructor sorts each list into a tuple
+            return {n: tuple(xs) for n, xs in out.items()}
 
         s, t = self.source, self.target
         return Relabelling(t, s, flip(self.leaves, s.leaves, t.leaves), flip(self.ops, s.ops, t.ops))
@@ -224,8 +225,8 @@ class CompositionalGrammar:
         return Relabelling(
             self.signature,
             sem,
-            {b.name: tuple(sem.leaf_by_name[m] for m in b.meanings) for b in self.basics},
-            {r.name: tuple(sem.op_by_name[m] for m in r.meanings) for r in self.rules},
+            {b.name: tuple(sem.leaf_by_name[m] for m in sorted(b.meanings)) for b in self.basics},
+            {r.name: tuple(sem.op_by_name[m] for m in sorted(r.meanings)) for r in self.rules},
         )
 
     @cached_property
@@ -244,9 +245,10 @@ class CompositionalGrammar:
         :class:`GrammarValidationError`.
         """
         sorter = graphlib.TopologicalSorter()
+        derives = _by_result(self.categories, self.rules)  # declaration order, as validation reports
         for r in self.rules:
             unary = len(r.template) == 1 and isinstance(r.template[0], int)
-            sorter.add(r, *(self.signature.ops_by_result[r.arg_list[0]] if unary else ()))
+            sorter.add(r, *(derives[r.arg_list[0]] if unary else ()))
         try:
             return tuple(sorter.static_order())
         except graphlib.CycleError as err:
@@ -273,28 +275,27 @@ def check_unique(kind: str, names, error=GrammarValidationError) -> None:
         raise error(f"duplicate {kind} '{first}'")
 
 
-def _validate_signature(sig: Signature) -> None:
-    """The checks both sides share: unique names, declared sorts, operators of arity >= 1."""
-    check_unique(sig.kind.sort, sig.sorts)
-    check_unique(sig.kind.leaf, (x.name for x in sig.leaves))
-    check_unique(sig.kind.op, (x.name for x in sig.ops))
-    sorts = set(sig.sorts)
-    for kind, symbols in ((sig.kind.leaf, sig.leaves), (sig.kind.op, sig.ops)):
+def _validate_signature(kind: SignatureKind, sorts, leaves, ops) -> None:
+    """The checks both sides share, in declaration order so the first error declared is reported."""
+    check_unique(kind.sort, sorts)
+    check_unique(kind.leaf, (x.name for x in leaves))
+    check_unique(kind.op, (x.name for x in ops))
+    sorts = set(sorts)
+    for what, symbols in ((kind.leaf, leaves), (kind.op, ops)):
         for x in symbols:
             for c in (*x.arg_list, x.result):
                 if c not in sorts:
-                    raise GrammarValidationError(f"{kind} '{x.name}' uses undeclared category '{c}'")
-    for op in sig.ops:
+                    raise GrammarValidationError(f"{what} '{x.name}' uses undeclared category '{c}'")
+    for op in ops:
         if not op.arg_list:
             raise GrammarValidationError(
-                f"{sig.kind.op} '{op.name}' has arity 0; zero-argument constructs must be "
-                f"{sig.kind.leaf}s"
+                f"{kind.op} '{op.name}' has arity 0; zero-argument constructs must be {kind.leaf}s"
             )
 
 
 def validate_semantics(sc: SemanticComponent) -> SemanticComponent:
     """Check all semantic-component invariants; return ``sc`` unchanged."""
-    _validate_signature(sc.signature)
+    _validate_signature(SEMANTICS, sc.categories, sc.meanings, sc.rules)
     return sc
 
 
@@ -318,7 +319,7 @@ def validate_grammar(g: CompositionalGrammar) -> CompositionalGrammar:
     validate_semantics(g.semantics)
     # basics and rules share one namespace
     check_unique("name", (x.name for x in (*g.basics, *g.rules)))
-    _validate_signature(g.signature)
+    _validate_signature(SYNTAX, g.categories, g.basics, g.rules)
     for b in g.basics:
         if not b.surface:
             raise GrammarValidationError(f"basic expression '{b.name}' has an empty surface")

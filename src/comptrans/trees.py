@@ -127,23 +127,17 @@ def relabel(rel: Relabelling, t: Tree) -> list[Tree]:
 
 # -- enumeration ------------------------------------------------------------
 #
-# One engine serves both tree kinds; _view reads a signature as (leaves per
-# category, rules per category, tree constructors).
-
-
-def _view(c: Component, cat: str):
-    sig = c.signature
-    sig.require_sort(cat)
-    leaves = {s: tuple(sorted(x.name for x in xs)) for s, xs in sig.leaves_by_sort.items()}
-    rules = {s: tuple(sorted((r.name, r.arg_list) for r in rs)) for s, rs in sig.ops_by_result.items()}
-    return (leaves, rules, *TREE_TYPES[sig.kind])
+# One engine serves both tree kinds. It reads the signature's per-sort
+# indexes, which list symbols in name order.
 
 
 def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
     """All well-formed trees of ``cat`` with depth <= ``max_depth``, canonical order."""
-    leaves, rules, make_leaf, make_node = _view(c, cat)
+    sig = c.signature
+    sig.require_sort(cat)
     if max_depth < 1:
         raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
+    make_leaf, make_node = TREE_TYPES[sig.kind]
     memo: dict[tuple[str, int], list] = {}
 
     def trees(sort: str, depth: int) -> list:
@@ -151,11 +145,11 @@ def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
         got = memo.get(key)
         if got is not None:
             return got
-        out = [make_leaf(n) for n in leaves[sort]]
+        out = [make_leaf(x.name) for x in sig.leaves_by_sort[sort]]
         if depth >= 2:
-            for name, args in rules[sort]:
-                for combo in itertools.product(*(trees(a, depth - 1) for a in args)):
-                    out.append(make_node(name, combo))
+            for r in sig.ops_by_result[sort]:
+                for combo in itertools.product(*(trees(a, depth - 1) for a in r.arg_list)):
+                    out.append(make_node(r.name, combo))
         out.sort()
         memo[key] = out
         return out
@@ -226,24 +220,23 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
     Deterministic for a given seed; every returned tree is a member of
     ``enumerate_trees(c, cat, max_depth)``.
     """
-    leaves, rules, make_leaf, make_node = _view(c, cat)
-    md = dict.fromkeys(leaves, math.inf)  # the least depth of a tree of each sort
-    for depth, new in enumerate(state_rounds(c.signature), 1):
+    sig = c.signature
+    sig.require_sort(cat)
+    make_leaf, make_node = TREE_TYPES[sig.kind]
+    md = dict.fromkeys(sig.sorts, math.inf)  # the least depth of a tree of each sort
+    for depth, new in enumerate(state_rounds(sig), 1):
         md.update((sort, depth) for sort, in new)
     if md[cat] > max_depth:
         return None
     rng = random.Random(seed)
 
     def grow(sort: str, budget: int) -> Tree:
-        options: list[tuple[str, tuple[str, ...] | None]] = [(n, None) for n in leaves[sort]]
-        if budget >= 2:
-            for name, args in rules[sort]:
-                if all(md[a] <= budget - 1 for a in args):
-                    options.append((name, args))
-        name, args = rng.choice(options)
-        if args is None:
-            return make_leaf(name)
-        return make_node(name, tuple(grow(a, budget - 1) for a in args))
+        # leaves first; a leaf has no arguments, so it always fits the budget
+        symbols = (*sig.leaves_by_sort[sort], *sig.ops_by_result[sort])
+        x = rng.choice([y for y in symbols if all(md[a] < budget for a in y.arg_list)])
+        if not x.arg_list:
+            return make_leaf(x.name)
+        return make_node(x.name, tuple(grow(a, budget - 1) for a in x.arg_list))
 
     return grow(cat, max_depth)
 
@@ -313,12 +306,17 @@ def _tree_from_json(obj, types) -> Tree:
     make_leaf, make_node = types
     if not isinstance(obj, dict):
         raise ComptransError(f"tree JSON must be an object, got {type(obj).__name__}")
-    if make_leaf.key in obj:
-        return make_leaf(obj[make_leaf.key])
-    if "rule" in obj:
-        children = obj.get("children", [])
-        return make_node(obj["rule"], tuple(_tree_from_json(c, types) for c in children))
-    raise ComptransError(f"tree JSON needs a '{make_leaf.key}' or 'rule' key: {obj!r}")
+    key = make_leaf.key if make_leaf.key in obj else "rule"
+    if key not in obj:
+        raise ComptransError(f"tree JSON needs a '{make_leaf.key}' or 'rule' key: {obj!r}")
+    if not isinstance(obj[key], str):
+        raise ComptransError(f"tree JSON '{key}' must be a string, got {type(obj[key]).__name__}")
+    if key != "rule":
+        return make_leaf(obj[key])
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise ComptransError(f"tree JSON 'children' must be a list, got {type(children).__name__}")
+    return make_node(obj[key], tuple(_tree_from_json(c, types) for c in children))
 
 
 parse_syn_tree = partial(_parse_tree, types=TREE_TYPES[SYNTAX])

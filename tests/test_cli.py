@@ -59,6 +59,17 @@ def test_validate_reports_input_errors(tmp_path):
     assert "bad.cg:1" in err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    bad = tmp_path / "bad.cg"
+    bad.write_bytes(b"semantics s\xff\n")
+    pair = tmp_path / "p.cgp"
+    pair.write_text("semantics bad.cg\nsource bad.cg\ntarget bad.cg\n")
+    for argv, path in ((("validate", bad), bad), (("check", pair), bad.resolve())):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1:12: byte 0xff is not UTF-8\n"
+
+
 def test_parse_text_and_json():
     code, out, _ = run_cli("parse", f"{F}/paper-example.cg", "--utterance", "e c b")
     assert code == 0

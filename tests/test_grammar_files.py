@@ -9,6 +9,7 @@ from comptrans import (
     GrammarValidationError,
     SemanticsMismatchError,
     load_grammar,
+    load_grammar_file,
     load_pair,
     parse_file,
     validate_pair,
@@ -94,6 +95,61 @@ def test_validation_errors(body, fragment):
     with pytest.raises(GrammarValidationError) as err:
         load_grammar(mini_grammar(body))
     assert fragment in str(err.value)
+
+
+def test_signature_lists_symbols_in_name_order():
+    contents = parse_file(
+        """
+semantics s
+  semcat Y X
+  meaning z : X
+  meaning m : Y
+  meaning a : X
+  mrule G : ( X ) -> Y
+  mrule F : ( Y ) -> X
+  mrule E : ( X ) -> Y
+grammar g uses s
+  syncat W V
+  basic w : V = "w" => z
+  basic v : V = "v" => a
+  rule R : ( V ) -> W = "r" $1 => G
+  rule Q : ( V ) -> W = "q" $1 => E
+"""
+    )
+    sem, syn = contents.semantics[0].signature, contents.grammars[0].signature
+
+    def names(symbols):
+        return [x.name for x in symbols]
+
+    assert names(sem.leaves) == ["a", "m", "z"]
+    assert names(sem.ops) == ["E", "F", "G"]
+    assert {s: names(xs) for s, xs in sem.leaves_by_sort.items()} == {"X": ["a", "z"], "Y": ["m"]}
+    assert {s: names(xs) for s, xs in sem.ops_by_result.items()} == {"X": ["F"], "Y": ["E", "G"]}
+    assert names(syn.leaves) == ["v", "w"]
+    assert names(syn.ops) == ["Q", "R"]
+    assert {s: names(xs) for s, xs in syn.leaves_by_sort.items()} == {"V": ["v", "w"], "W": []}
+    assert {s: names(xs) for s, xs in syn.ops_by_result.items()} == {"V": [], "W": ["Q", "R"]}
+    # the components keep their declaration order
+    assert names(contents.semantics[0].meanings) == ["z", "m", "a"]
+    assert names(contents.grammars[0].rules) == ["R", "Q"]
+
+
+def test_file_that_is_not_utf8_fails_at_its_first_bad_byte(tmp_path):
+    bad = tmp_path / "bad.cg"
+    bad.write_bytes(b"semantics s\r\n  semcat X \xc3\xa9\xff\xfe\n")
+    with pytest.raises(GrammarFormatError) as err:
+        load_grammar_file(bad)
+    # the column counts characters, so the two-byte 'é' is one
+    assert str(err.value) == f"{bad}:2:13: byte 0xff is not UTF-8"
+    pair = tmp_path / "p.cgp"
+    pair.write_text("semantics bad.cg\nsource bad.cg\ntarget bad.cg\n")
+    with pytest.raises(GrammarFormatError) as err:
+        load_pair(pair)
+    assert str(err.value) == f"{bad.resolve()}:2:13: byte 0xff is not UTF-8"
+    pair.write_bytes(b"semantics bad.cg\n\x80\n")
+    with pytest.raises(GrammarFormatError) as err:
+        load_pair(pair)
+    assert str(err.value) == f"{pair}:2:1: byte 0x80 is not UTF-8"
 
 
 def test_arity_mismatch_with_semantic_rule():
@@ -289,6 +345,23 @@ SEM_AND_GRAMMAR = (
         ("semantics s\n  semcat X\n  nonsense X\n", "t.cg:3:3: unknown directive 'nonsense'"),
         ("semantics s\n  sem-cat X\n", "t.cg:2:3: unknown directive 'sem-cat'"),
         ("  meaning x : X\n", "t.cg:1:3: 'meaning' is only allowed inside a 'semantics' block"),
+        # validation walks a block as declared, not in the signature's name order
+        (
+            "semantics s\n  semcat X\n  meaning z : Q\n  meaning a : R\n",
+            "t.cg:1: basic meaning 'z' uses undeclared category 'Q'",
+        ),
+        (
+            SEM_AND_GRAMMAR + '  basic z : Q = "z" => x\n  basic a : R = "a" => x\n',
+            "t.cg:5: basic expression 'z' uses undeclared category 'Q'",
+        ),
+        # so does the cycle search: here name order would report Q -> P -> Q (rule 'Ro')
+        (
+            "semantics s\n  semcat X\n  meaning x : X\n  mrule F : ( X ) -> X\n  mrule G : ( X X ) -> X\n"
+            'grammar g uses s\n  syncat P Q R\n  basic p : P = "p" => x\n  rule Rb : ( P ) -> R = $1 => F\n'
+            '  rule Rl : ( P P ) -> P = $2 "u" $1 => G\n  rule Ra : ( Q ) -> P = $1 => F\n'
+            "  rule Ro : ( P ) -> Q = $1 => F\n",
+            "t.cg:6: unary terminal-free rule cycle through categories P -> Q -> P (rule 'Ra')",
+        ),
     ],
 )
 def test_format_error_messages(text, expected):

@@ -4,10 +4,16 @@ import pytest
 
 from comptrans import (
     AmbiguityCapError,
+    BasicExpression,
+    BasicMeaning,
+    CompositionalGrammar,
+    SemanticComponent,
     SemLeaf,
     SemNode,
+    SemRule,
     SynLeaf,
     SynNode,
+    SyntacticRule,
     UnknownNameError,
     enumerate_syn_trees,
     format_tree,
@@ -21,6 +27,7 @@ from comptrans import (
     translate,
     translate_sem,
     tree_depth,
+    validate_grammar,
     well_formed_sem_trees,
 )
 from oracles import generable_utterances, shared_wellformed_sem_trees
@@ -62,6 +69,32 @@ def test_semgen_examples(paper_grammar, enfr):
         "R1b(le, chat)",
     ]
     assert [format_tree(t) for t in got if is_cfg_well_formed(fr, t)] == ["R1a(le, chat)"]
+
+
+def test_stages_follow_name_order_whatever_the_declaration_order():
+    # API callers may list symbols and carried meanings in any order
+    sc = SemanticComponent(
+        "s",
+        ("X",),
+        (BasicMeaning("b", "X"), BasicMeaning("a", "X")),
+        (SemRule("G", ("X",), "X"), SemRule("F", ("X",), "X")),
+    )
+    g = validate_grammar(
+        CompositionalGrammar(
+            "g",
+            ("V",),
+            (BasicExpression("y", "V", ("y",), ("b", "a")), BasicExpression("x", "V", ("x",), ("b",))),
+            (SyntacticRule("R", ("V",), "V", ("r", 1), ("G", "F")),),
+            sc,
+        )
+    )
+    assert seman(g, SynNode("R", (SynLeaf("y"),))) == [
+        SemNode("F", (SemLeaf("a"),)),
+        SemNode("F", (SemLeaf("b"),)),
+        SemNode("G", (SemLeaf("a"),)),
+        SemNode("G", (SemLeaf("b"),)),
+    ]
+    assert semgen(g, SemNode("G", (SemLeaf("b"),))) == [SynNode("R", (SynLeaf("x"),)), SynNode("R", (SynLeaf("y"),))]
 
 
 def test_semgen_empty_result_is_legal(enfr_broken):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comptrans import (
+    ComptransError,
     SemLeaf,
     SemNode,
     SynLeaf,
@@ -182,6 +183,21 @@ def test_json_round_trip(paper_grammar):
     assert syn_tree_from_json(tree_to_json(t)) == t
     d = SemNode("M1", (SemLeaf("m1"), SemLeaf("m2a")))
     assert sem_tree_from_json(tree_to_json(d)) == d
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"meaning": 5}, "tree JSON 'meaning' must be a string, got int"),
+        ({"rule": ["F"]}, "tree JSON 'rule' must be a string, got list"),
+        ({"rule": "F", "children": None}, "tree JSON 'children' must be a list, got NoneType"),
+        ({"rule": "F", "children": [{"meaning": None}]}, "tree JSON 'meaning' must be a string, got NoneType"),
+    ],
+)
+def test_json_reader_rejects_names_and_children_of_the_wrong_type(obj, message):
+    with pytest.raises(ComptransError) as err:
+        sem_tree_from_json(obj)
+    assert str(err.value) == message
 
 
 NAMES = st.sampled_from("abc")
