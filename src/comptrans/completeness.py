@@ -26,8 +26,8 @@ a witness is always a real counterexample.
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CorrespondenceError, TupleCapError
 from .model import CompositionalGrammar, GrammarPair
@@ -44,19 +44,19 @@ DISJUNCTIVE = "disjunctive"
 DEFAULT_TUPLE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CorrespondenceEntry:
+class CorrespondenceEntry(NamedTuple):
     """One semantic category's target categories and its label."""
 
     categories: tuple[str, ...]  # sorted, non-empty
     label: str  # CONJUNCTIVE or DISJUNCTIVE
 
 
-@dataclass(frozen=True)
-class CategoryCorrespondence:
-    """Map from semantic categories to sets of target syntactic categories."""
-
+class _CorrespondenceFields(NamedTuple):
     entries: tuple[tuple[str, CorrespondenceEntry], ...]  # sorted by category
+
+
+class CategoryCorrespondence(_CorrespondenceFields):
+    """Map from semantic categories to sets of target syntactic categories."""
 
     @cached_property
     def by_category(self) -> dict[str, CorrespondenceEntry]:
@@ -85,8 +85,7 @@ def n1_correspondence(mapping: dict[str, str]) -> CategoryCorrespondence:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One itemized reason a check failed."""
 
     kind: str
@@ -99,8 +98,7 @@ class Violation:
     sem_tree: SemTree | None = None
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     """Verdict plus itemized violations (and, for searches, a witness)."""
 
     condition: str  # homomorphism | n1 | nn | labels | witness-search
@@ -126,7 +124,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
     src, tgt = pair.source, pair.target
     violations: list[Violation] = []
     for b in src.signature.leaves:
-        for m in b.meanings:
+        for m in (x.name for x in src.interpretation.leaves[b.name]):
             if not tgt.inverse_interpretation.leaves[m]:
                 violations.append(
                     Violation(
@@ -140,7 +138,7 @@ def check_homomorphism(pair: GrammarPair) -> CompletenessReport:
                     )
                 )
     for r in src.signature.ops:
-        for m in r.meanings:
+        for m in (x.name for x in src.interpretation.ops[r.name]):
             if not tgt.inverse_interpretation.ops[m]:
                 violations.append(
                     Violation(
@@ -162,16 +160,15 @@ def _interpretation_links(g: CompositionalGrammar):
     Yields ``(carrier, meaning, role, syntactic category, semantic category)``
     where ``role`` is ``"basic"``, ``"argument <i>"`` (1-based) or ``"result"``.
     """
-    sem_sig = g.semantics.signature
+    interp = g.interpretation
     for b in g.signature.leaves:
-        for m in b.meanings:
-            yield b, m, "basic", b.category, sem_sig.leaf_by_name[m].category
+        for m in interp.leaves[b.name]:
+            yield b, m.name, "basic", b.category, m.category
     for r in g.signature.ops:
-        for m in r.meanings:
-            sem = sem_sig.op_by_name[m]
+        for sem in interp.ops[r.name]:
             for i, (syn_arg, sem_arg) in enumerate(zip(r.arg_list, sem.arg_list), start=1):
-                yield r, m, f"argument {i}", syn_arg, sem_arg
-            yield r, m, "result", r.result, sem.result
+                yield r, sem.name, f"argument {i}", syn_arg, sem_arg
+            yield r, sem.name, "result", r.result, sem.result
 
 
 def _solve_n1(target: CompositionalGrammar) -> tuple[dict[str, str] | None, list[Violation]]:

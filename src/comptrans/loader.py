@@ -32,7 +32,6 @@ values.
 """
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -164,8 +163,7 @@ class _LineParser:
             names.append(self.name(what))
 
 
-@dataclass(frozen=True)
-class FileContents:
+class FileContents(NamedTuple):
     """Everything declared by one grammar file, in declaration order."""
 
     semantics: tuple[SemanticComponent, ...]
@@ -307,7 +305,7 @@ class _FileParser:
             raise lp.error(f"basic expression '{name}' has an empty surface")
         meanings = lp.names_to_end("basic meaning name", ",")
         check_unique("meaning", meanings, lp.error)
-        self.leaves.append(BasicExpression(name, cat, tuple(surface), tuple(sorted(meanings))))
+        self.leaves.append(BasicExpression(name, cat, tuple(surface), tuple(meanings)))
 
     def _dir_rule(self, lp: _LineParser) -> None:
         name, args, result = self._declaration(lp, op=True)
@@ -331,7 +329,7 @@ class _FileParser:
             raise lp.error(f"rule '{name}' has an empty template")
         meanings = lp.names_to_end("semantic rule name", ",")
         check_unique("semantic rule", meanings, lp.error)
-        self.ops.append(SyntacticRule(name, args, result, tuple(template), tuple(sorted(meanings))))
+        self.ops.append(SyntacticRule(name, args, result, tuple(template), tuple(meanings)))
 
 
 def parse_file(
@@ -375,8 +373,7 @@ def load_grammar_file(path: str | Path, env: dict[str, SemanticComponent] | None
     return load_grammar(read_text(p), str(p), env)
 
 
-@dataclass(frozen=True)
-class LoadedPair:
+class LoadedPair(NamedTuple):
     """A pair file resolved to grammars plus its declared correspondence."""
 
     pair: GrammarPair

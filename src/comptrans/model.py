@@ -6,16 +6,18 @@ operators from argument sorts to a result sort. The syntactic component has
 basic expressions and syntactic rules over syntactic categories; the semantic
 component has basic meanings and semantic rules over semantic categories. The
 interpretation of a grammar is a :class:`Relabelling` from its syntactic
-symbols to semantic ones, and its inverse runs back. All values are immutable
-after construction and safe to share between threads; every invariant is
-enforced by :func:`validate_grammar` / :func:`validate_semantics`, which the
-file loader calls on everything it returns.
+symbols to semantic ones, and its inverse runs back. Records are named tuples,
+like trees; one that caches derived tables subclasses its field tuple. Values
+never change after construction and are safe to share between threads; every
+invariant is enforced by :func:`validate_grammar` / :func:`validate_semantics`,
+which the file loader calls on everything it returns.
 """
 
 import graphlib
-from dataclasses import dataclass
+import math
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import GrammarValidationError, SemanticsMismatchError, UnknownNameError
 
@@ -24,8 +26,7 @@ from .errors import GrammarValidationError, SemanticsMismatchError, UnknownNameE
 TemplateItem = str | int
 
 
-@dataclass(frozen=True)
-class SignatureKind:
+class SignatureKind(NamedTuple):
     """How messages name one side's component, sorts, leaves and operators."""
 
     component: str
@@ -45,8 +46,15 @@ def _by_result(sorts: tuple[str, ...], symbols: tuple) -> dict[str, tuple]:
     return {s: tuple(xs) for s, xs in out.items()}
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
+    kind: SignatureKind
+    name: str
+    sorts: tuple[str, ...]
+    leaves: tuple
+    ops: tuple
+
+
+class Signature(_SignatureFields):
     """A many-sorted signature: sorts, typed leaves, and typed operators.
 
     Every symbol has ``name``, ``arg_list`` (the argument sorts) and
@@ -55,15 +63,11 @@ class Signature:
     the per-sort indexes give every walk over symbols the canonical order.
     """
 
-    kind: SignatureKind
-    name: str
-    sorts: tuple[str, ...]
-    leaves: tuple
-    ops: tuple
+    def __new__(cls, kind, name, sorts, leaves, ops):
+        leaves, ops = (tuple(sorted(xs, key=attrgetter("name"))) for xs in (leaves, ops))
+        return super().__new__(cls, kind, name, sorts, leaves, ops)
 
-    def __post_init__(self):
-        for attr in ("leaves", "ops"):
-            object.__setattr__(self, attr, tuple(sorted(getattr(self, attr), key=attrgetter("name"))))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` sorts too
 
     @property
     def owner(self) -> str:
@@ -97,21 +101,30 @@ class Signature:
         if sort not in self.leaves_by_sort:
             raise UnknownNameError(f"{self.owner} declares no category '{sort}'")
 
+    @cached_property
+    def least_depths(self) -> dict[str, float]:
+        """The least depth of a well-formed tree of each sort, ``math.inf`` where there is none."""
+        from .trees import state_rounds  # trees builds on this module
+        depths = dict.fromkeys(self.sorts, math.inf)
+        for depth, new in enumerate(state_rounds(self), 1):
+            depths.update((sort, depth) for sort, in new)
+        return depths
 
-@dataclass(frozen=True, eq=False)
+
 class Relabelling:
     """A relation from the symbols of one signature to those of another.
 
     ``leaves`` and ``ops`` map every symbol name of ``source`` to the
     ``target`` symbols it may be relabelled to, which its builders list in name
     order. A grammar's interpretation is one, from syntax to semantics;
-    :meth:`inverse` gives the way back.
+    :meth:`inverse` gives the way back. Two relabellings are equal only if
+    they are the same object.
     """
 
-    source: Signature
-    target: Signature
-    leaves: dict[str, tuple]
-    ops: dict[str, tuple]
+    __slots__ = ("source", "target", "leaves", "ops")
+
+    def __init__(self, source: Signature, target: Signature, leaves: dict[str, tuple], ops: dict[str, tuple]):
+        self.source, self.target, self.leaves, self.ops = source, target, leaves, ops
 
     def images(self, name: str, leaf: bool) -> tuple:
         table = self.leaves if leaf else self.ops
@@ -133,9 +146,8 @@ class Relabelling:
         return Relabelling(t, s, flip(self.leaves, s.leaves, t.leaves), flip(self.ops, s.ops, t.ops))
 
 
-@dataclass(frozen=True)
-class _Constant:
-    """A leaf symbol: a nullary operator with result sort ``category``."""
+class BasicMeaning(NamedTuple):
+    """An uninterpreted semantic atom with a semantic category."""
 
     name: str
     category: str
@@ -144,9 +156,8 @@ class _Constant:
     result = property(attrgetter("category"))
 
 
-@dataclass(frozen=True)
-class _Operator:
-    """An operator symbol from the sorts ``arg_list`` to the sort ``result``."""
+class SemRule(NamedTuple):
+    """A named, typed, uninterpreted operator over meanings."""
 
     name: str
     arg_list: tuple[str, ...]
@@ -157,40 +168,34 @@ class _Operator:
         return len(self.arg_list)
 
 
-@dataclass(frozen=True)
-class BasicMeaning(_Constant):
-    """An uninterpreted semantic atom with a semantic category."""
-
-
-@dataclass(frozen=True)
-class SemRule(_Operator):
-    """A named, typed, uninterpreted operator over meanings."""
-
-
-@dataclass(frozen=True)
-class SemanticComponent:
-    """The interlingua: semantic categories, basic meanings, semantic rules."""
-
+class _SemanticFields(NamedTuple):
     name: str
     categories: tuple[str, ...]
     meanings: tuple[BasicMeaning, ...]
     rules: tuple[SemRule, ...]
+
+
+class SemanticComponent(_SemanticFields):
+    """The interlingua: semantic categories, basic meanings, semantic rules."""
 
     @cached_property
     def signature(self) -> Signature:
         return Signature(SEMANTICS, self.name, self.categories, self.meanings, self.rules)
 
 
-@dataclass(frozen=True)
-class BasicExpression(_Constant):
+class BasicExpression(NamedTuple):
     """A lexical entry: a surface token sequence with a set of meanings."""
 
+    name: str
+    category: str
     surface: tuple[str, ...]
-    meanings: tuple[str, ...]  # sorted, non-empty
+    meanings: tuple[str, ...]  # non-empty, no duplicates
+
+    arg_list = ()
+    result = property(attrgetter("category"))
 
 
-@dataclass(frozen=True)
-class SyntacticRule(_Operator):
+class SyntacticRule(NamedTuple):
     """A named total operation combining typed expressions.
 
     ``template`` spells out the produced surface: terminals are emitted
@@ -200,19 +205,27 @@ class SyntacticRule(_Operator):
     no argument (syncategorematic material).
     """
 
+    name: str
+    arg_list: tuple[str, ...]
+    result: str
     template: tuple[TemplateItem, ...]
-    meanings: tuple[str, ...]  # associated semantic rule names, sorted, non-empty
+    meanings: tuple[str, ...]  # associated semantic rule names, non-empty, no duplicates
+
+    @property
+    def arity(self) -> int:
+        return len(self.arg_list)
 
 
-@dataclass(frozen=True)
-class CompositionalGrammar:
-    """A syntactic component plus its interpretation into shared semantics."""
-
+class _GrammarFields(NamedTuple):
     name: str
     categories: tuple[str, ...]
     basics: tuple[BasicExpression, ...]
     rules: tuple[SyntacticRule, ...]
     semantics: SemanticComponent
+
+
+class CompositionalGrammar(_GrammarFields):
+    """A syntactic component plus its interpretation into shared semantics."""
 
     @cached_property
     def signature(self) -> Signature:
@@ -260,8 +273,7 @@ class CompositionalGrammar:
             ) from None
 
 
-@dataclass(frozen=True)
-class GrammarPair:
+class GrammarPair(NamedTuple):
     """A source/target grammar pair communicating through one interlingua."""
 
     source: CompositionalGrammar
@@ -332,6 +344,7 @@ def validate_grammar(g: CompositionalGrammar) -> CompositionalGrammar:
         for x in symbols:
             if not x.meanings:
                 raise GrammarValidationError(f"{what} '{x.name}' has no associated {sem_what}s")
+            check_unique("meaning" if leaf else "semantic rule", x.meanings)
             for m in x.meanings:
                 target = (sem.leaf_by_name if leaf else sem.op_by_name).get(m)
                 if target is None:

@@ -72,16 +72,17 @@ class _Chart:
 
 def _segmentations(rule: SyntacticRule, tokens, start: int, end: int, chart: _Chart) -> list[list]:
     """The argument trees, one list per argument, for every way the template covers [start, end)."""
-    last = len(rule.template) - 1
+    template, args = rule.template, rule.arg_list
+    last = len(template) - 1
     partial: list[tuple[int, dict]] = [(start, {})]  # (position reached, placeholder -> trees)
-    for idx, item in enumerate(rule.template):
+    for idx, item in enumerate(template):
         grown = []
         for pos, pools in partial:
             if isinstance(item, str):
                 if pos < end and tokens[pos] == item:
                     grown.append((pos + 1, pools))
                 continue
-            ends = chart.ends.get((rule.arg_list[item - 1], pos), {})
+            ends = chart.ends.get((args[item - 1], pos), {})
             # the last item must reach ``end``; every derivable expression has a token
             for stop in [end] if idx == last else [e for e in ends if e < end]:
                 if stop in ends:
@@ -89,7 +90,7 @@ def _segmentations(rule: SyntacticRule, tokens, start: int, end: int, chart: _Ch
         if not grown:
             return []
         partial = grown
-    return [[pools[i] for i in range(1, rule.arity + 1)] for pos, pools in partial if pos == end]
+    return [[pools[i] for i in range(1, len(args) + 1)] for pos, pools in partial if pos == end]
 
 
 def morsynan(

@@ -11,7 +11,7 @@ Whether a grammar realizes a semantic tree at all is decided bottom-up by
 :func:`realized_categories`, without generating candidates.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CompositionalGrammar, GrammarPair
 from .parsing import morsynan, morsyngen
@@ -66,8 +66,7 @@ def realized_categories(g: CompositionalGrammar, d: SemTree) -> frozenset[str]:
     return go(d)
 
 
-@dataclass(frozen=True)
-class TranslationTrace:
+class TranslationTrace(NamedTuple):
     """Every intermediate set of one translation run.
 
     ``sem_trees`` pairs each semantic derivation tree with its

@@ -20,7 +20,6 @@ runs are reproducible.
 """
 
 import itertools
-import math
 import random
 import re
 from functools import partial
@@ -223,9 +222,7 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
     sig = c.signature
     sig.require_sort(cat)
     make_leaf, make_node = TREE_TYPES[sig.kind]
-    md = dict.fromkeys(sig.sorts, math.inf)  # the least depth of a tree of each sort
-    for depth, new in enumerate(state_rounds(sig), 1):
-        md.update((sort, depth) for sort, in new)
+    md = sig.least_depths
     if md[cat] > max_depth:
         return None
     rng = random.Random(seed)

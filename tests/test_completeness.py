@@ -26,6 +26,7 @@ from comptrans import (
     parse_file,
     translate_sem,
     validate_labels,
+    validate_grammar,
     validate_pair,
     well_formed_sem_trees,
     witness_report,
@@ -97,6 +98,41 @@ def test_homomorphism_basic_violation(enfr_homviol):
     assert [(v.kind, v.source, v.meaning) for v in report.violations] == [
         ("uncovered-basic-meaning", "house", "house")
     ]
+
+
+# each grammar's carriers list their meanings in name order, which the
+# loader keeps; a grammar built through the API may list them in any order
+CARRIER_ORDER = """
+semantics s
+  semcat X
+  meaning a : X
+  meaning b : X
+  meaning c : X
+  meaning d : X
+
+grammar src uses s
+  syncat V
+  basic w : V = "w" => a, d
+
+grammar tgt uses s
+  syncat V W
+  basic u : V = "u" => b, c
+  basic v : W = "v" => c
+"""
+
+
+def test_checks_walk_carried_meanings_in_name_order():
+    src, tgt = (
+        validate_grammar(g._replace(basics=tuple(b._replace(meanings=b.meanings[::-1]) for b in g.basics)))
+        for g in parse_file(CARRIER_ORDER).grammars
+    )
+    assert src.basics[0].meanings == ("d", "a")
+    pair = validate_pair(src, tgt)
+    assert [v.meaning for v in check_homomorphism(pair).violations] == ["a", "d"]
+    conflict = check_n1_completeness(pair).subreports[1].violations[0]
+    assert "to 'V' (basic 'u' carries 'b')" in conflict.message
+    typing = check_nn_completeness(pair, n1_correspondence({"X": "W"})).violations
+    assert [v.meaning for v in typing if v.kind == "nn-typing-basic"] == ["b", "c"]
 
 
 def test_infer_n1_map_paper(paper_grammar):

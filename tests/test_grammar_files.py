@@ -12,6 +12,7 @@ from comptrans import (
     load_grammar_file,
     load_pair,
     parse_file,
+    validate_grammar,
     validate_pair,
 )
 from conftest import FIXTURES
@@ -260,6 +261,31 @@ def test_duplicate_meaning_in_list_rejected():
     with pytest.raises(GrammarFormatError) as err:
         load_grammar(mini_grammar('  syncat V\n  basic v : V = "v" => x, x\n'))
     assert "duplicate meaning 'x'" in str(err.value)
+
+
+def test_interpretation_alone_puts_carried_meanings_in_name_order():
+    g = load_grammar(
+        """
+semantics s
+  semcat X
+  meaning x : X
+  meaning w : X
+grammar g uses s
+  syncat V
+  basic v : V = "v" => x, w
+"""
+    )
+    assert g.basics[0].meanings == ("x", "w")
+    assert [m.name for m in g.interpretation.leaves["v"]] == ["w", "x"]
+
+
+@pytest.mark.parametrize("field, kind, name", [("basics", "meaning", "x"), ("rules", "semantic rule", "F")])
+def test_duplicate_carried_meaning_rejected_through_the_api(field, kind, name):
+    g = load_grammar(mini_grammar('  syncat V W\n  basic v : V = "v" => x\n  rule R : ( V ) -> W = $1 => F\n'))
+    (x,) = getattr(g, field)
+    with pytest.raises(GrammarValidationError) as err:
+        validate_grammar(g._replace(**{field: (x._replace(meanings=(name, name)),)}))
+    assert f"duplicate {kind} '{name}'" in str(err.value)
 
 
 def test_empty_template_rejected():

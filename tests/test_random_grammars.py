@@ -17,7 +17,6 @@ enumerations still blow past the guards are skipped for the expensive parts.
 """
 
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,8 +185,8 @@ def test_relabelling_yields_canonical_order(seed):
         CompositionalGrammar(
             g.name,
             g.categories,
-            tuple(replace(b, meanings=b.meanings[::-1]) for b in g.basics[::-1]),
-            tuple(replace(r, meanings=r.meanings[::-1]) for r in g.rules[::-1]),
+            tuple(b._replace(meanings=b.meanings[::-1]) for b in g.basics[::-1]),
+            tuple(r._replace(meanings=r.meanings[::-1]) for r in g.rules[::-1]),
             sc,
         )
     )

@@ -16,6 +16,7 @@ from comptrans import (
     format_tree,
     is_cfg_well_formed,
     is_sem_well_typed,
+    load_pair,
     parse_sem_tree,
     parse_syn_tree,
     random_sem_tree,
@@ -27,6 +28,8 @@ from comptrans import (
     tree_key,
     tree_to_json,
 )
+from comptrans import trees
+from conftest import FIXTURES
 from oracles import canonical_key, naive_sem_trees, naive_syn_trees
 
 
@@ -146,6 +149,16 @@ def test_random_sem_tree_fixed_cases(paper_grammar):
     for seed in (0, 1, 99):
         assert random_sem_tree(sc, "Bbar", 1, seed) == SemLeaf("m1")
         assert random_sem_tree(sc, "Abar", 1, seed) is None
+
+
+def test_sampling_runs_the_state_fixpoint_once_per_signature(monkeypatch):
+    sc = load_pair(FIXTURES / "enfr-np.cgp").pair.source.semantics  # fresh, so nothing is cached yet
+    calls = []
+    state_rounds = trees.state_rounds
+    monkeypatch.setattr(trees, "state_rounds", lambda *a: calls.append(a) or state_rounds(*a))
+    samples = [random_sem_tree(sc, "NPbar", 4, seed) for seed in range(20)]
+    assert len(calls) == 1
+    assert all(sem_cat(sc, d) == "NPbar" for d in samples)
 
 
 @settings(deadline=None)
