@@ -30,10 +30,11 @@ from .render import (
     report_to_text,
     trace_to_json,
     trace_to_text,
+    trees_to_json,
     trees_to_text,
     FORMAT_VERSION,
 )
-from .trees import enumerate_trees, format_tree, random_sem_tree, tree_to_json
+from .trees import enumerate_trees, format_tree, random_sem_tree
 
 
 def _positive_int(text: str) -> int:
@@ -104,7 +105,7 @@ def _cmd_parse(args):
         grammar=grammar.name,
         utterance=tokens,
         category=args.cat,
-        trees=[tree_to_json(t) for t in trees],
+        trees=trees_to_json(trees),
     )
     return 0, doc, trees_to_text(trees)
 
@@ -184,7 +185,7 @@ def _cmd_enumerate(args):
         kind=args.kind,
         category=args.cat,
         depth=args.depth,
-        trees=[tree_to_json(t) for t in trees],
+        trees=trees_to_json(trees),
     )
     return 0, doc, trees_to_text(trees)
 

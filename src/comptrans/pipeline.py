@@ -14,7 +14,7 @@ Whether a grammar realizes a semantic tree at all is decided bottom-up by
 from typing import NamedTuple
 
 from .model import CompositionalGrammar, GrammarPair
-from .parsing import morsynan, morsyngen
+from .parsing import _generate, morsynan, morsyngen
 from .trees import (
     SemTree,
     SynTree,
@@ -93,7 +93,8 @@ def translate(pair: GrammarPair, utterance, max_trees: int | None = None) -> Tra
     target_trees = sorted({t2 for d in sem_trees for t2 in semgen(pair.target, d)})
     target_flagged = tuple((t2, is_cfg_well_formed(pair.target, t2)) for t2 in target_trees)
 
-    utterances = sorted({morsyngen(pair.target, t2) for t2, ok in target_flagged if ok})
+    # the filter above has checked every kept tree, so generate without checking again
+    utterances = sorted({_generate(pair.target, t2) for t2, ok in target_flagged if ok})
     return TranslationTrace(
         source_utterance=tokens,
         source_trees=tuple(source_trees),

@@ -3,14 +3,27 @@
 JSON documents are schema-stable across runs: fixed key sets, canonical
 ordering of every list, and a format version stamped into each envelope. The
 shipped ``report.schema.json`` describes every document this module emits.
+
+The ``*_to_json`` builders give one document per call, and within it every
+tree is built once per distinct (kind, tree): equal subtrees, in one tree or
+in several, are one shared dict. Documents are therefore read-only; copy one
+before changing any part of it.
+
+:func:`dump_json` returns exactly the text of ``json.dumps(doc, indent=2,
+sort_keys=True, ensure_ascii=False)``, for any document of string-keyed
+dicts, lists, tuples and scalars, nested to any depth. It writes a
+container's text the first time it meets the container and reuses that text
+each time the same object appears again, so a shared subtree is serialized
+once.
 """
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring
 
-from .completeness import CompletenessReport, Violation
+from .completeness import CompletenessReport
 from .pipeline import TranslationTrace
-from .trees import Tree, format_tree, tree_to_json
+from .trees import Tree, format_tree
 
 FORMAT_VERSION = "1"
 
@@ -21,34 +34,143 @@ def schema() -> dict:
     return json.loads(text)
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+_END = object()
+
+
+def dump_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)``, byte for byte.
+
+    ``doc`` is built of dicts with string keys, lists, tuples, strings, ints,
+    floats, booleans and None; anything else raises the stdlib's
+    ``TypeError``, and a container inside itself raises ``ValueError``. The
+    walk keeps its own stack, so nesting depth is bounded by memory, not by
+    the recursion limit. Each container's text is the run of pieces between
+    its brackets; when the same object appears again, that run is joined
+    once and reused, re-indented if it now sits at another depth (string
+    escapes leave no raw newline, so every newline in it starts a line).
+    """
+    out: list[str] = []
+    spans: dict[int, tuple | None] = {}  # container -> (depth, first piece, end), None while open
+    texts: dict[int, str] = {}  # container met twice -> its text at the depth in spans
+    pads: list[tuple[str, str, str, str]] = []  # depth -> (first item's separator, a later one's, closings)
+    stack: list = []  # open containers: (id, depth, first piece, items, is dict, separators, closing)
+    labels: dict[str, str] = {}  # dict key -> its text and the colon after it
+    value, depth = doc, 0
+    while True:
+        if isinstance(value, str):
+            out.append(encode_basestring(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            key = id(value)
+            if not value:
+                out.append("{}" if isinstance(value, dict) else "[]")
+            elif key in spans:
+                if spans[key] is None:
+                    raise ValueError("Circular reference detected")
+                at, first, end = spans[key]
+                text = texts.get(key)
+                if text is None:
+                    text = texts[key] = "".join(out[first:end])
+                if depth > at:
+                    text = text.replace("\n", "\n" + "  " * (depth - at))
+                elif depth < at:
+                    text = text.replace("\n" + "  " * (at - depth), "\n")
+                out.append(text)
+            else:
+                while len(pads) <= depth + 1:
+                    pad = "\n" + "  " * len(pads)
+                    pads.append((pad, "," + pad, pad + "}", pad + "]"))
+                is_dict = isinstance(value, dict)
+                out.append("{" if is_dict else "[")
+                items = iter(sorted(value.items())) if is_dict else iter(value)
+                closing = pads[depth][2 if is_dict else 3]
+                stack.append((key, depth, len(out) - 1, items, is_dict, pads[depth + 1], closing))
+                spans[key] = None
+        else:
+            out.append(json.dumps(value))  # a float's text, or the stdlib's TypeError
+        while stack:  # find the next value, closing each container it leaves
+            key, at, first, items, is_dict, (first_sep, sep, _, _), closing = stack[-1]
+            item = next(items, _END)
+            if item is _END:
+                stack.pop()
+                out.append(closing)
+                spans[key] = (at, first, len(out))
+                continue
+            if len(out) - 1 == first:
+                sep = first_sep
+            if is_dict:
+                name, value = item
+                label = labels.get(name)
+                if label is None:
+                    label = labels[name] = encode_basestring(name) + ": "
+                out.append(sep)
+                out.append(label)
+            else:
+                out.append(sep)
+                value = item
+            depth = at + 1
+            break
+        else:
+            return "".join(out)
 
 
 def envelope(command: str, **payload) -> dict:
     return {"command": command, "format_version": FORMAT_VERSION, **payload}
 
 
-def violation_to_json(v: Violation) -> dict:
-    doc = {"kind": v.kind, "message": v.message}
-    for field in ("source", "meaning", "rule", "category"):
-        if getattr(v, field) is not None:
-            doc[field] = getattr(v, field)
-    if v.arg_tuple is not None:
-        doc["arg_tuple"] = list(v.arg_tuple)
-    if v.sem_tree is not None:
-        doc["sem_tree"] = tree_to_json(v.sem_tree)
+def _tree_doc(t: Tree, memo: dict) -> dict:
+    """``tree_to_json(t)``, with every subtree built before in this document taken from ``memo``.
+
+    The memo is keyed by kind as well as tree, since a syntactic and a
+    semantic leaf of one name compare equal but write different keys.
+    """
+    key = (type(t), t)
+    doc = memo.get(key)
+    if doc is None:
+        if t.is_leaf:
+            doc = {t.key: t.name}
+        else:
+            doc = {"rule": t.name, "children": [_tree_doc(c, memo) for c in t.children]}
+        memo[key] = doc
     return doc
 
 
-def report_to_json(report: CompletenessReport) -> dict:
+def trees_to_json(trees) -> list[dict]:
+    """The JSON form of each tree, equal subtrees shared across the list."""
+    memo: dict = {}
+    return [_tree_doc(t, memo) for t in trees]
+
+
+def _report_doc(report: CompletenessReport, memo: dict) -> dict:
+    violations = []
+    for v in report.violations:
+        doc = {"kind": v.kind, "message": v.message}
+        for field in ("source", "meaning", "rule", "category"):
+            if getattr(v, field) is not None:
+                doc[field] = getattr(v, field)
+        if v.arg_tuple is not None:
+            doc["arg_tuple"] = list(v.arg_tuple)
+        if v.sem_tree is not None:
+            doc["sem_tree"] = _tree_doc(v.sem_tree, memo)
+        violations.append(doc)
     return {
         "condition": report.condition,
         "verdict": report.verdict,
-        "violations": [violation_to_json(v) for v in report.violations],
-        "witness": None if report.witness is None else tree_to_json(report.witness),
-        "subreports": [report_to_json(r) for r in report.subreports],
+        "violations": violations,
+        "witness": None if report.witness is None else _tree_doc(report.witness, memo),
+        "subreports": [_report_doc(r, memo) for r in report.subreports],
     }
+
+
+def report_to_json(report: CompletenessReport) -> dict:
+    return _report_doc(report, {})
 
 
 def report_to_text(report: CompletenessReport, heading: str) -> str:
@@ -61,13 +183,12 @@ def report_to_text(report: CompletenessReport, heading: str) -> str:
 
 
 def trace_to_json(trace: TranslationTrace) -> dict:
+    memo: dict = {}
     return {
-        "source_trees": [tree_to_json(t) for t in trace.source_trees],
-        "sem_trees": [
-            {"tree": tree_to_json(d), "well_typed": ok} for d, ok in trace.sem_trees
-        ],
+        "source_trees": [_tree_doc(t, memo) for t in trace.source_trees],
+        "sem_trees": [{"tree": _tree_doc(d, memo), "well_typed": ok} for d, ok in trace.sem_trees],
         "target_trees": [
-            {"tree": tree_to_json(t), "well_formed": ok} for t, ok in trace.target_trees
+            {"tree": _tree_doc(t, memo), "well_formed": ok} for t, ok in trace.target_trees
         ],
     }
 

@@ -152,6 +152,21 @@ def test_trace_records_every_stage(enfr):
     assert list(trace.target_utterances) == regenerated
 
 
+def test_translate_checks_each_candidate_once(enfr, monkeypatch):
+    # the filter's check is the only one: kept trees are generated without another
+    import comptrans.parsing
+    import comptrans.pipeline
+
+    checked = []
+    monkeypatch.setattr(comptrans.parsing, "is_cfg_well_formed", lambda g, t: checked.append(t) or True)
+    monkeypatch.setattr(
+        comptrans.pipeline, "is_cfg_well_formed", lambda g, t: checked.append(t) or is_cfg_well_formed(g, t)
+    )
+    trace = translate(enfr.pair, "the cat".split())
+    assert trace.target_utterances == (("le", "chat"),)
+    assert sorted(checked) == [t for t, _ in trace.target_trees]
+
+
 def test_translate_deterministic(enfr):
     first = translate(enfr.pair, "the house".split())
     second = translate(enfr.pair, "the house".split())
