@@ -9,12 +9,20 @@ a grammar's interpretation and to its inverse; both preserve tree geometry,
 and every stage output is fully materialized so a trace can be inspected.
 Whether a grammar realizes a semantic tree at all is decided bottom-up by
 :func:`realized_categories`, without generating candidates.
+
+The parses of one utterance share their subtrees, since the chart builds
+each subtree once. Within one :func:`translate` or :func:`translate_sem`
+call every stage (analysis, the well-typedness flag, semantic generation,
+the filter, and morphosyntactic generation) keeps one memo over all the
+trees it walks, keyed by subtree identity, so each distinct subtree is
+handled once per stage. Each stage's output trees share subtrees in turn, so
+the next stage's memo hits too. The memos are dropped when the call returns.
 """
 
 from typing import NamedTuple
 
 from .model import CompositionalGrammar, GrammarPair
-from .parsing import _generate, morsynan, morsyngen
+from .parsing import _generate, morsynan
 from .trees import (
     SemTree,
     SynTree,
@@ -25,27 +33,30 @@ from .trees import (
     relabel,
     tree_depth,
 )
-# Unused here; bench/tracing.py looks this name up in this module.
+# Unused here; bench/tracing.py looks these names up in this module.
+from .parsing import morsyngen  # noqa: F401
 from .trees import tree_key  # noqa: F401
 
 
-def seman(g: CompositionalGrammar, t: SynTree) -> list[SemTree]:
+def seman(g: CompositionalGrammar, t: SynTree, memo: dict | None = None) -> list[SemTree]:
     """All semantic derivation trees of ``t``: interpret each node every way.
 
     Output trees share the geometry of ``t``; the result is never empty
-    because interpretation sets are non-empty by construction.
+    because interpretation sets are non-empty by construction. ``memo`` is
+    :func:`~comptrans.trees.relabel`'s, for ``g``'s interpretation only.
     """
-    return relabel(g.interpretation, t)
+    return relabel(g.interpretation, t, memo)
 
 
-def semgen(g: CompositionalGrammar, d: SemTree) -> list[SynTree]:
+def semgen(g: CompositionalGrammar, d: SemTree, memo: dict | None = None) -> list[SynTree]:
     """All syntactic derivation trees of ``g`` that analyze to ``d``.
 
     Candidates may be ill-formed; well-formedness is checked downstream. An
     empty result is a legal value and signals incompleteness of ``g`` for
-    ``d``, not a failure.
+    ``d``, not a failure. ``memo`` is :func:`~comptrans.trees.relabel`'s, for
+    ``g``'s inverse interpretation only.
     """
-    return relabel(g.inverse_interpretation, d)
+    return relabel(g.inverse_interpretation, d, memo)
 
 
 def realized_categories(g: CompositionalGrammar, d: SemTree) -> frozenset[str]:
@@ -85,16 +96,18 @@ class TranslationTrace(NamedTuple):
 def translate(pair: GrammarPair, utterance, max_trees: int | None = None) -> TranslationTrace:
     """Compositional translation: analyze, interpret, generate, filter, render."""
     tokens = tuple(utterance)
-    source_trees = morsynan(pair.source, tokens, max_trees=max_trees)
+    src, tgt = pair.source, pair.target
+    source_trees = morsynan(src, tokens, max_trees=max_trees)
+    analysed, typed, generated, formed, yields = {}, {}, {}, {}, {}  # one memo per stage
 
-    sem_trees = sorted({d for t in source_trees for d in seman(pair.source, t)})
-    sem_flagged = tuple((d, is_sem_well_typed(pair.source.semantics, d)) for d in sem_trees)
+    sem_trees = sorted({d for t in source_trees for d in seman(src, t, analysed)})
+    sem_flagged = tuple((d, is_sem_well_typed(src.semantics, d, typed)) for d in sem_trees)
 
-    target_trees = sorted({t2 for d in sem_trees for t2 in semgen(pair.target, d)})
-    target_flagged = tuple((t2, is_cfg_well_formed(pair.target, t2)) for t2 in target_trees)
+    target_trees = sorted({t2 for d in sem_trees for t2 in semgen(tgt, d, generated)})
+    target_flagged = tuple((t2, is_cfg_well_formed(tgt, t2, formed)) for t2 in target_trees)
 
     # the filter above has checked every kept tree, so generate without checking again
-    utterances = sorted({_generate(pair.target, t2) for t2, ok in target_flagged if ok})
+    utterances = sorted({_generate(tgt, t2, yields) for t2, ok in target_flagged if ok})
     return TranslationTrace(
         source_utterance=tokens,
         source_trees=tuple(source_trees),
@@ -109,11 +122,9 @@ def translate_sem(pair: GrammarPair, d: SemTree) -> list[tuple[str, ...]]:
 
     Empty output is an incompleteness witness for ``d``, not an error.
     """
-    out = {
-        morsyngen(pair.target, t)
-        for t in semgen(pair.target, d)
-        if is_cfg_well_formed(pair.target, t)
-    }
+    tgt = pair.target
+    formed, yields = {}, {}  # the candidates share subtrees
+    out = {_generate(tgt, t, yields) for t in semgen(tgt, d) if is_cfg_well_formed(tgt, t, formed)}
     return sorted(out)
 
 

@@ -87,16 +87,25 @@ def tree_category(c: Component, t: Tree) -> str:
     return c.signature.symbol(t.name, t.is_leaf).result
 
 
-def is_well_formed(c: Component, t: Tree) -> bool:
+def is_well_formed(c: Component, t: Tree, memo: dict | None = None) -> bool:
     """True iff every rule node's argument list equals its children's categories.
 
     Every name is looked up, so an unknown one raises :class:`UnknownNameError`.
+    ``memo`` carries each checked subtree's category from one call to the
+    next; see :func:`relabel` for how it is keyed and how long it may live.
     """
     symbol = c.signature.symbol
+    if memo is None:
+        memo = {}
 
     def category(t: Tree) -> str | None:  # None for an ill-formed tree, which fits no argument
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
         r = symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
-        return r.result if tuple(map(category, t.children)) == r.arg_list else None
+        cat = r.result if tuple(map(category, t.children)) == r.arg_list else None
+        memo[id(t)] = (t, cat)
+        return cat
 
     return category(t) is not None
 
@@ -105,23 +114,41 @@ syn_cat = sem_cat = tree_category
 is_cfg_well_formed = is_sem_well_typed = is_well_formed
 
 
-def relabel(rel: Relabelling, t: Tree) -> list[Tree]:
+def relabel(rel: Relabelling, t: Tree, memo: dict | None = None) -> list[Tree]:
     """Every tree of ``t``'s shape whose node names are images of ``t``'s under ``rel``.
 
     Results come in canonical order. Images are taken in name order over
     children already in canonical order, and a product of sorted lists is
     lexicographic, so nothing needs sorting afterwards.
+
+    Each distinct subtree is relabelled once: ``memo`` maps ``id(subtree)``
+    to ``(subtree, images)``, and the entry holds the subtree so that its id
+    cannot be reused while the memo lives. One memo passed to every call over
+    trees that share subtrees, as the parses of one utterance do, walks each
+    shared subtree once, and its images are then shared as well. A memo
+    serves one relabelling only and holds every tree it has seen, so drop it
+    when the trees it was used on are done with. The returned list is the
+    caller's own.
     """
     make_leaf, make_node = TREE_TYPES[rel.target.kind]
+    images = rel.images
+    if memo is None:
+        memo = {}
 
     def go(t: Tree) -> list[Tree]:
-        images = rel.images(t.name, t.is_leaf)
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        names = images(t.name, t.is_leaf)
         if t.is_leaf:
-            return [make_leaf(x.name) for x in images]
-        child_sets = [go(c) for c in t.children]
-        return [make_node(x.name, combo) for x in images for combo in itertools.product(*child_sets)]
+            out = [make_leaf(x.name) for x in names]
+        else:
+            child_sets = [go(c) for c in t.children]
+            out = [make_node(x.name, combo) for x in names for combo in itertools.product(*child_sets)]
+        memo[id(t)] = (t, out)
+        return out
 
-    return go(t)
+    return list(go(t))
 
 
 # -- enumeration ------------------------------------------------------------

@@ -14,6 +14,9 @@ before each correspondence case went through the realization step; its
 coverage part, ``_nn_coverage_violations``, is the old code unchanged and
 matches carriers to argument categories by hand. ``canonical_key`` is the
 sort key the library used before trees were tuples that sort themselves.
+``translate_by_tree`` is ``translate`` as it was before its stages kept
+memos: every stage walks every tree from its root, subtrees shared between
+parses included.
 """
 
 import itertools
@@ -36,6 +39,7 @@ from comptrans import (
     format_tree,
     is_cfg_well_formed,
     is_sem_well_typed,
+    morsynan,
     seman,
     semgen,
     syn_cat,
@@ -44,7 +48,8 @@ from comptrans import (
     well_formed_sem_trees,
 )
 from comptrans.completeness import _nn_typing_violations, _require_coverage, _type_notation
-from comptrans.pipeline import realized_categories
+from comptrans.pipeline import TranslationTrace, realized_categories
+from comptrans.trees import TREE_TYPES
 
 
 def canonical_key(t):
@@ -126,6 +131,48 @@ def shared_wellformed_sem_trees(pair, source_utt, target_utt, max_depth):
         for d in seman(pair.target, t)
     }
     return src & tgt
+
+
+def relabel_by_tree(rel, t):
+    """``relabel`` without a memo: each occurrence of a subtree is relabelled afresh."""
+    make_leaf, make_node = TREE_TYPES[rel.target.kind]
+    images = rel.images(t.name, t.is_leaf)
+    if t.is_leaf:
+        return [make_leaf(x.name) for x in images]
+    child_sets = [relabel_by_tree(rel, c) for c in t.children]
+    return [make_node(x.name, combo) for x in images for combo in itertools.product(*child_sets)]
+
+
+def well_formed_by_tree(c, t):
+    """``is_well_formed`` without a memo."""
+
+    def category(t):
+        r = c.signature.symbol(t.name, t.is_leaf)
+        return r.result if tuple(map(category, t.children)) == r.arg_list else None
+
+    return category(t) is not None
+
+
+def translate_by_tree(pair, utterance, max_trees=None):
+    """``translate`` with every stage applied to each tree on its own."""
+    tokens = tuple(utterance)
+    source_trees = morsynan(pair.source, tokens, max_trees=max_trees)
+
+    sem_trees = sorted({d for t in source_trees for d in relabel_by_tree(pair.source.interpretation, t)})
+    sem_flagged = tuple((d, well_formed_by_tree(pair.source.semantics, d)) for d in sem_trees)
+
+    target_rel = pair.target.inverse_interpretation
+    target_trees = sorted({t2 for d in sem_trees for t2 in relabel_by_tree(target_rel, d)})
+    target_flagged = tuple((t2, well_formed_by_tree(pair.target, t2)) for t2 in target_trees)
+
+    utterances = sorted({tuple(naive_yield(pair.target, t2)) for t2, ok in target_flagged if ok})
+    return TranslationTrace(
+        source_utterance=tokens,
+        source_trees=tuple(source_trees),
+        sem_trees=sem_flagged,
+        target_trees=target_flagged,
+        target_utterances=tuple(utterances),
+    )
 
 
 def well_formed_by_enumeration(grammar, d):

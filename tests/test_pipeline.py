@@ -1,6 +1,11 @@
 """Semantic analysis/generation and the end-to-end translation pipeline."""
 
+from collections import Counter
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comptrans import (
     AmbiguityCapError,
@@ -22,15 +27,55 @@ from comptrans import (
     is_well_formed_sem_tree,
     morsynan,
     morsyngen,
+    parse_sem_tree,
+    parse_syn_tree,
     seman,
     semgen,
     translate,
     translate_sem,
     tree_depth,
     validate_grammar,
+    validate_pair,
+    validate_semantics,
     well_formed_sem_trees,
 )
-from oracles import generable_utterances, shared_wellformed_sem_trees
+from comptrans.model import Relabelling, Signature
+from comptrans.parsing import _generate
+from oracles import generable_utterances, shared_wellformed_sem_trees, translate_by_tree
+
+MIRROR_WORDS = "abcdefghi"
+
+
+@pytest.fixture(scope="module")
+def mirror():
+    """``S -> S S`` read as ``$1 $2`` and written as ``$2 $1``: n words have Catalan(n-1) parses."""
+    sc = validate_semantics(
+        SemanticComponent(
+            "mirror-sem",
+            ("Sbar",),
+            tuple(BasicMeaning(f"m{w}", "Sbar") for w in MIRROR_WORDS),
+            (SemRule("C", ("Sbar", "Sbar"), "Sbar"),),
+        )
+    )
+
+    def grammar(name, template):
+        basics = tuple(BasicExpression(f"{name}{w}", "S", (f"{name}{w}",), (f"m{w}",)) for w in MIRROR_WORDS)
+        rules = (SyntacticRule("R", ("S", "S"), "S", template, ("C",)),)
+        return validate_grammar(CompositionalGrammar(name, ("S",), basics, rules, sc))
+
+    return validate_pair(grammar("x", (1, 2)), grammar("y", (2, 1)))
+
+
+def distinct_subtrees(trees) -> int:
+    """Subtree objects reachable from ``trees``, each counted once however often it is shared."""
+    seen: set[int] = set()
+    stack = list(trees)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.children)
+    return len(seen)
 
 
 def shape(tree):
@@ -152,19 +197,88 @@ def test_trace_records_every_stage(enfr):
     assert list(trace.target_utterances) == regenerated
 
 
-def test_translate_checks_each_candidate_once(enfr, monkeypatch):
-    # the filter's check is the only one: kept trees are generated without another
+def spy_on_checks(monkeypatch) -> list:
+    """Every tree given to a well-formedness check through the stages' names, in call order."""
     import comptrans.parsing
     import comptrans.pipeline
 
     checked = []
-    monkeypatch.setattr(comptrans.parsing, "is_cfg_well_formed", lambda g, t: checked.append(t) or True)
+    monkeypatch.setattr(comptrans.parsing, "is_cfg_well_formed", lambda g, t, *memo: checked.append(t) or True)
     monkeypatch.setattr(
-        comptrans.pipeline, "is_cfg_well_formed", lambda g, t: checked.append(t) or is_cfg_well_formed(g, t)
+        comptrans.pipeline,
+        "is_cfg_well_formed",
+        lambda g, t, *memo: checked.append(t) or is_cfg_well_formed(g, t, *memo),
     )
+    return checked
+
+
+def test_translate_checks_each_candidate_once(enfr, monkeypatch):
+    # the filter's check is the only one: kept trees are generated without another
+    checked = spy_on_checks(monkeypatch)
     trace = translate(enfr.pair, "the cat".split())
     assert trace.target_utterances == (("le", "chat"),)
     assert sorted(checked) == [t for t, _ in trace.target_trees]
+
+
+def test_translate_sem_checks_each_candidate_once(enfr, monkeypatch):
+    checked = spy_on_checks(monkeypatch)
+    d = SemNode("M1", (SemLeaf("def"), SemLeaf("house")))
+    assert translate_sem(enfr.pair, d) == [("la", "maison")]
+    assert sorted(checked) == semgen(enfr.pair.target, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=st.lists(st.sampled_from(MIRROR_WORDS), min_size=2, max_size=8))
+def test_translate_matches_the_per_tree_path_on_the_mirror_pair(mirror, words):
+    utterance = [f"x{w}" for w in words]
+    assert translate(mirror, utterance) == translate_by_tree(mirror, utterance)
+
+
+def test_each_stage_handles_each_distinct_subtree_once(mirror, monkeypatch):
+    calls: Counter = Counter()
+    images, symbol = Relabelling.images, Signature.symbol
+    monkeypatch.setattr(Relabelling, "images", lambda self, *a: calls.update([id(self)]) or images(self, *a))
+    monkeypatch.setattr(Signature, "symbol", lambda self, *a: calls.update([id(self)]) or symbol(self, *a))
+    src, tgt = mirror.source, mirror.target
+    trace = translate(mirror, [f"x{w}" for w in MIRROR_WORDS])
+    sem_trees = [d for d, _ in trace.sem_trees]
+    target_trees = [t for t, _ in trace.target_trees]
+    assert len(trace.source_trees) == len(sem_trees) == len(target_trees) == 1430
+    # 1,430 parses of 17 nodes each, built from 2,983 distinct subtrees; the
+    # images of every stage share subtrees just as the chart's parses do
+    sizes = [distinct_subtrees(ts) for ts in (trace.source_trees, sem_trees, target_trees)]
+    assert sizes == [2983] * 3
+    assert calls[id(src.interpretation)] <= 2983  # seman
+    assert calls[id(src.semantics.signature)] <= 2983  # the well-typedness flag
+    assert calls[id(tgt.inverse_interpretation)] <= 2983  # semgen
+    assert calls[id(tgt.signature)] <= 2983  # the filter
+
+
+@pytest.mark.parametrize("stage", ["seman", "typed", "semgen", "filter", "generate"])
+def test_a_memo_outliving_its_trees_gives_fresh_results(enfr, stage):
+    # each tree is dropped before the next is built, which may then take its
+    # memory and so its id; the memo pins the trees it holds, so no entry is
+    # mistaken for another tree's
+    src, tgt = enfr.pair.source, enfr.pair.target
+    sem_trees = sorted({d for cat in src.categories for t in enumerate_syn_trees(src, cat, 3) for d in seman(src, t)})
+    candidates = [t for d in sem_trees for t in semgen(tgt, d)]  # well-formed and ill-formed
+    ill_typed = parse_sem_tree("M1(cat, def)")
+    call, trees, parse = {
+        "seman": (partial(seman, tgt), candidates, parse_syn_tree),
+        "typed": (partial(is_sem_well_typed, tgt.semantics), [*sem_trees, ill_typed], parse_sem_tree),
+        "semgen": (partial(semgen, tgt), sem_trees, parse_sem_tree),
+        "filter": (partial(is_cfg_well_formed, tgt), candidates, parse_syn_tree),
+        "generate": (partial(_generate, tgt), [t for t in candidates if is_cfg_well_formed(tgt, t)], parse_syn_tree),
+    }[stage]
+    memo: dict = {}
+    for text in map(format_tree, trees * 2):
+        t = parse(text)
+        got = call(t, memo)
+        assert got == call(t), text
+        if isinstance(got, list):
+            got.clear()  # the caller's own list: the memo keeps its copy
+            assert call(t, memo) == call(t), text
+        del t, got
 
 
 def test_translate_deterministic(enfr):

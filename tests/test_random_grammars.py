@@ -12,6 +12,9 @@ source/target grammar over it, then checks the load-bearing claims:
   search never contradicts a passing n1 check or a passing nn check whose
   labels pass.
 
+Translation, whose stages keep one memo each over all the parses of an
+utterance, is also checked against the same stages applied tree by tree.
+
 Grammars are kept tiny so the exhaustive parts stay exhaustive; trials whose
 enumerations still blow past the guards are skipped for the expensive parts.
 """
@@ -45,6 +48,7 @@ from comptrans import (
     morsyngen,
     seman,
     semgen,
+    translate,
     translate_sem,
     tree_depth,
     validate_grammar,
@@ -54,7 +58,7 @@ from comptrans import (
     well_formed_sem_trees,
 )
 from comptrans.pipeline import realized_categories
-from oracles import canonical_key, generable_utterances, parse_oracle
+from oracles import canonical_key, generable_utterances, parse_oracle, translate_by_tree
 
 TERMINALS = ["u", "v", "w"]
 TRIALS = 150
@@ -195,6 +199,21 @@ def test_relabelling_yields_canonical_order(seed):
     sem = [d for c in sc.categories for d in enumerate_sem_trees(sc, c, DEPTH)]
     for out in [seman(g, t) for t in syn[:150]] + [semgen(g, d) for d in sem[:150]]:
         assert out == sorted(set(out), key=canonical_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_translate_matches_the_per_tree_path(seed):
+    rng = random.Random(seed)
+    sc = random_component(rng)
+    pair = validate_pair(random_grammar(rng, "src", sc), random_grammar(rng, "tgt", sc))
+    utterances = sorted(generable_utterances(pair.source, DEPTH))
+    for utterance in rng.sample(utterances, min(len(utterances), 8)):
+        try:
+            expected = translate_by_tree(pair, utterance, max_trees=2000)
+        except AmbiguityCapError:
+            continue
+        assert translate(pair, utterance, max_trees=2000) == expected, utterance
 
 
 def test_random_grammar_trials():
