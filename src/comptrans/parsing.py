@@ -41,28 +41,23 @@ def morsyngen(g: CompositionalGrammar, t: SynTree) -> tuple[str, ...]:
 
 def _generate(g: CompositionalGrammar, t: SynTree, memo: dict | None = None) -> tuple[str, ...]:
     """The utterance of ``t``, which must be CFG-well-formed; ``memo`` is keyed as ``relabel``'s."""
-    leaf_by_name, op_by_name = g.signature.leaf_by_name, g.signature.op_by_name
     if memo is None:
         memo = {}
-
-    def go(t: SynTree) -> tuple[str, ...]:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        if t.is_leaf:
-            out = leaf_by_name[t.name].surface
-        else:
-            parts: list[str] = []
-            for item in op_by_name[t.name].template:
-                if isinstance(item, str):
-                    parts.append(item)
-                else:
-                    parts.extend(go(t.children[item - 1]))
-            out = tuple(parts)
-        memo[id(t)] = (t, out)
-        return out
-
-    return go(t)
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    if t.is_leaf:
+        out = g.signature.leaf_by_name[t.name].surface
+    else:
+        parts: list[str] = []
+        for item in g.signature.op_by_name[t.name].template:
+            if isinstance(item, str):
+                parts.append(item)
+            else:
+                parts.extend(_generate(g, t.children[item - 1], memo))
+        out = tuple(parts)
+    memo[id(t)] = (t, out)
+    return out
 
 
 class _Chart:

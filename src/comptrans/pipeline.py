@@ -16,7 +16,8 @@ call every stage (analysis, the well-typedness flag, semantic generation,
 the filter, and morphosyntactic generation) keeps one memo over all the
 trees it walks, keyed by subtree identity, so each distinct subtree is
 handled once per stage. Each stage's output trees share subtrees in turn, so
-the next stage's memo hits too. The memos are dropped when the call returns.
+the next stage's memo hits too. A memo is a plain dict that only the call
+holds, so it is freed when the call returns.
 """
 
 from typing import NamedTuple
@@ -69,12 +70,11 @@ def realized_categories(g: CompositionalGrammar, d: SemTree) -> frozenset[str]:
     lists). Raises :class:`UnknownNameError` on a name the semantic
     component lacks.
     """
-    carriers = g.inverse_interpretation
-
-    def go(d: SemTree) -> frozenset[str]:
-        return realize_node(carriers.images(d.name, d.is_leaf), [go(c) for c in d.children])
-
-    return go(d)
+    images = g.inverse_interpretation.images(d.name, d.is_leaf)
+    below = []
+    for c in d.children:
+        below.append(realized_categories(g, c))
+    return realize_node(images, below)
 
 
 class TranslationTrace(NamedTuple):

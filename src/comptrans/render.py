@@ -4,10 +4,10 @@ JSON documents are schema-stable across runs: fixed key sets, canonical
 ordering of every list, and a format version stamped into each envelope. The
 shipped ``report.schema.json`` describes every document this module emits.
 
-The ``*_to_json`` builders give one document per call, and within it every
-tree is built once per distinct (kind, tree): equal subtrees, in one tree or
-in several, are one shared dict. Documents are therefore read-only; copy one
-before changing any part of it.
+The ``*_to_json`` builders give one document per call, built by
+:func:`~comptrans.trees.tree_to_json`'s builder over one identity memo: a
+subtree object met again anywhere in it is one shared dict. Documents are
+therefore read-only; copy one before changing any part of it.
 
 :func:`dump_json` returns exactly the text of ``json.dumps(doc, indent=2,
 sort_keys=True, ensure_ascii=False)``, for any document of string-keyed
@@ -23,7 +23,7 @@ from json.encoder import encode_basestring
 
 from .completeness import CompletenessReport
 from .pipeline import TranslationTrace
-from .trees import Tree, format_tree
+from .trees import Tree, _to_json, format_tree
 
 FORMAT_VERSION = "1"
 
@@ -125,27 +125,10 @@ def envelope(command: str, **payload) -> dict:
     return {"command": command, "format_version": FORMAT_VERSION, **payload}
 
 
-def _tree_doc(t: Tree, memo: dict) -> dict:
-    """``tree_to_json(t)``, with every subtree built before in this document taken from ``memo``.
-
-    The memo is keyed by kind as well as tree, since a syntactic and a
-    semantic leaf of one name compare equal but write different keys.
-    """
-    key = (type(t), t)
-    doc = memo.get(key)
-    if doc is None:
-        if t.is_leaf:
-            doc = {t.key: t.name}
-        else:
-            doc = {"rule": t.name, "children": [_tree_doc(c, memo) for c in t.children]}
-        memo[key] = doc
-    return doc
-
-
 def trees_to_json(trees) -> list[dict]:
-    """The JSON form of each tree, equal subtrees shared across the list."""
+    """The JSON form of each tree, a subtree object shared across the list being one dict."""
     memo: dict = {}
-    return [_tree_doc(t, memo) for t in trees]
+    return [_to_json(t, memo) for t in trees]
 
 
 def _report_doc(report: CompletenessReport, memo: dict) -> dict:
@@ -158,13 +141,13 @@ def _report_doc(report: CompletenessReport, memo: dict) -> dict:
         if v.arg_tuple is not None:
             doc["arg_tuple"] = list(v.arg_tuple)
         if v.sem_tree is not None:
-            doc["sem_tree"] = _tree_doc(v.sem_tree, memo)
+            doc["sem_tree"] = _to_json(v.sem_tree, memo)
         violations.append(doc)
     return {
         "condition": report.condition,
         "verdict": report.verdict,
         "violations": violations,
-        "witness": None if report.witness is None else _tree_doc(report.witness, memo),
+        "witness": None if report.witness is None else _to_json(report.witness, memo),
         "subreports": [_report_doc(r, memo) for r in report.subreports],
     }
 
@@ -185,10 +168,10 @@ def report_to_text(report: CompletenessReport, heading: str) -> str:
 def trace_to_json(trace: TranslationTrace) -> dict:
     memo: dict = {}
     return {
-        "source_trees": [_tree_doc(t, memo) for t in trace.source_trees],
-        "sem_trees": [{"tree": _tree_doc(d, memo), "well_typed": ok} for d, ok in trace.sem_trees],
+        "source_trees": [_to_json(t, memo) for t in trace.source_trees],
+        "sem_trees": [{"tree": _to_json(d, memo), "well_typed": ok} for d, ok in trace.sem_trees],
         "target_trees": [
-            {"tree": _tree_doc(t, memo), "well_formed": ok} for t, ok in trace.target_trees
+            {"tree": _to_json(t, memo), "well_formed": ok} for t, ok in trace.target_trees
         ],
     }
 

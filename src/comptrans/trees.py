@@ -17,6 +17,10 @@ Canonical order everywhere is the tuple order: by node name, then recursively
 by children, with a leaf before a node of the same name. ``sorted`` and ``min``
 need no key; enumeration output, reports, and serialized sets all follow it so
 runs are reproducible.
+
+Every walk is a plain function calling itself once per child from a loop, so
+a tree level costs one frame; a walk over shared subtrees takes its caller's
+identity memo (see :func:`relabel`), which dies with the caller's call.
 """
 
 import itertools
@@ -79,7 +83,10 @@ def tree_key(t: Tree) -> Tree:
 
 def tree_depth(t: Tree) -> int:
     """Depth with leaves at 1."""
-    return 1 + max(map(tree_depth, t.children), default=0)
+    depth = 0
+    for c in t.children:
+        depth = max(depth, tree_depth(c))
+    return depth + 1
 
 
 def tree_category(c: Component, t: Tree) -> str:
@@ -94,20 +101,21 @@ def is_well_formed(c: Component, t: Tree, memo: dict | None = None) -> bool:
     ``memo`` carries each checked subtree's category from one call to the
     next; see :func:`relabel` for how it is keyed and how long it may live.
     """
-    symbol = c.signature.symbol
-    if memo is None:
-        memo = {}
+    return _category(t, c.signature, {} if memo is None else memo) is not None
 
-    def category(t: Tree) -> str | None:  # None for an ill-formed tree, which fits no argument
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        r = symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
-        cat = r.result if tuple(map(category, t.children)) == r.arg_list else None
-        memo[id(t)] = (t, cat)
-        return cat
 
-    return category(t) is not None
+def _category(t: Tree, sig: Signature, memo: dict) -> str | None:
+    """The category of a well-formed ``t``; None for an ill-formed one, which fits no argument."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    r = sig.symbol(t.name, t.is_leaf)  # a leaf has no arguments and no children
+    below = []
+    for child in t.children:
+        below.append(_category(child, sig, memo))
+    cat = r.result if tuple(below) == r.arg_list else None
+    memo[id(t)] = (t, cat)
+    return cat
 
 
 syn_cat = sem_cat = tree_category
@@ -130,25 +138,24 @@ def relabel(rel: Relabelling, t: Tree, memo: dict | None = None) -> list[Tree]:
     when the trees it was used on are done with. The returned list is the
     caller's own.
     """
+    return list(_relabel(t, rel, {} if memo is None else memo))
+
+
+def _relabel(t: Tree, rel: Relabelling, memo: dict) -> list[Tree]:
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     make_leaf, make_node = TREE_TYPES[rel.target.kind]
-    images = rel.images
-    if memo is None:
-        memo = {}
-
-    def go(t: Tree) -> list[Tree]:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        names = images(t.name, t.is_leaf)
-        if t.is_leaf:
-            out = [make_leaf(x.name) for x in names]
-        else:
-            child_sets = [go(c) for c in t.children]
-            out = [make_node(x.name, combo) for x in names for combo in itertools.product(*child_sets)]
-        memo[id(t)] = (t, out)
-        return out
-
-    return list(go(t))
+    names = rel.images(t.name, t.is_leaf)
+    if t.is_leaf:
+        out = [make_leaf(x.name) for x in names]
+    else:
+        child_sets = []
+        for child in t.children:
+            child_sets.append(_relabel(child, rel, memo))
+        out = [make_node(x.name, combo) for x in names for combo in itertools.product(*child_sets)]
+    memo[id(t)] = (t, out)
+    return out
 
 
 # -- enumeration ------------------------------------------------------------
@@ -163,24 +170,25 @@ def enumerate_trees(c: Component, cat: str, max_depth: int) -> list[Tree]:
     sig.require_sort(cat)
     if max_depth < 1:
         raise ComptransError(f"max_depth must be >= 1, got {max_depth}")
+    return _enumerate(cat, max_depth, sig, {})
+
+
+def _enumerate(sort: str, depth: int, sig: Signature, memo: dict) -> list[Tree]:
+    """The trees of ``sort`` up to ``depth``; ``memo`` maps ``(sort, depth)`` to them."""
+    got = memo.get((sort, depth))
+    if got is not None:
+        return got
     make_leaf, make_node = TREE_TYPES[sig.kind]
-    memo: dict[tuple[str, int], list] = {}
-
-    def trees(sort: str, depth: int) -> list:
-        key = (sort, depth)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = [make_leaf(x.name) for x in sig.leaves_by_sort[sort]]
-        if depth >= 2:
-            for r in sig.ops_by_result[sort]:
-                for combo in itertools.product(*(trees(a, depth - 1) for a in r.arg_list)):
-                    out.append(make_node(r.name, combo))
-        out.sort()
-        memo[key] = out
-        return out
-
-    return trees(cat, max_depth)
+    out = [make_leaf(x.name) for x in sig.leaves_by_sort[sort]]
+    if depth >= 2:
+        for r in sig.ops_by_result[sort]:
+            pools = []
+            for a in r.arg_list:
+                pools.append(_enumerate(a, depth - 1, sig, memo))
+            out.extend(make_node(r.name, combo) for combo in itertools.product(*pools))
+    out.sort()
+    memo[sort, depth] = out
+    return out
 
 
 enumerate_syn_trees = enumerate_sem_trees = enumerate_trees
@@ -248,21 +256,23 @@ def random_sem_tree(c: Component, cat: str, max_depth: int, seed: int) -> Tree |
     """
     sig = c.signature
     sig.require_sort(cat)
-    make_leaf, make_node = TREE_TYPES[sig.kind]
-    md = sig.least_depths
-    if md[cat] > max_depth:
+    if sig.least_depths[cat] > max_depth:
         return None
-    rng = random.Random(seed)
+    return _grow(cat, max_depth, sig, random.Random(seed))
 
-    def grow(sort: str, budget: int) -> Tree:
-        # leaves first; a leaf has no arguments, so it always fits the budget
-        symbols = (*sig.leaves_by_sort[sort], *sig.ops_by_result[sort])
-        x = rng.choice([y for y in symbols if all(md[a] < budget for a in y.arg_list)])
-        if not x.arg_list:
-            return make_leaf(x.name)
-        return make_node(x.name, tuple(grow(a, budget - 1) for a in x.arg_list))
 
-    return grow(cat, max_depth)
+def _grow(sort: str, budget: int, sig: Signature, rng: random.Random) -> Tree:
+    # leaves first; a leaf has no arguments, so it always fits the budget
+    md = sig.least_depths
+    symbols = (*sig.leaves_by_sort[sort], *sig.ops_by_result[sort])
+    x = rng.choice([y for y in symbols if all(md[a] < budget for a in y.arg_list)])
+    make_leaf, make_node = TREE_TYPES[sig.kind]
+    if not x.arg_list:
+        return make_leaf(x.name)
+    children = []
+    for a in x.arg_list:
+        children.append(_grow(a, budget - 1, sig, rng))
+    return make_node(x.name, tuple(children))
 
 
 # -- serialization ----------------------------------------------------------
@@ -277,7 +287,10 @@ _TREE_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
 def format_tree(t: Tree) -> str:
     if t.is_leaf:
         return t.name
-    return f"{t.name}({', '.join(map(format_tree, t.children))})"
+    parts = []
+    for c in t.children:
+        parts.append(format_tree(c))
+    return f"{t.name}({', '.join(parts)})"
 
 
 def _parse_tree(text: str, types) -> Tree:
@@ -321,9 +334,24 @@ def _parse_tree(text: str, types) -> Tree:
 
 
 def tree_to_json(t: Tree) -> dict:
+    """``t``'s JSON form; a subtree object met twice in ``t`` is one dict, so the result is read-only."""
+    return _to_json(t, {})
+
+
+def _to_json(t: Tree, memo: dict) -> dict:
+    """``t``'s JSON form; ``memo`` is keyed as :func:`relabel`'s, so a subtree met again is one dict."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     if t.is_leaf:
-        return {t.key: t.name}
-    return {"rule": t.name, "children": [tree_to_json(c) for c in t.children]}
+        doc = {t.key: t.name}
+    else:
+        children = []
+        for c in t.children:
+            children.append(_to_json(c, memo))
+        doc = {"rule": t.name, "children": children}
+    memo[id(t)] = (t, doc)
+    return doc
 
 
 def _tree_from_json(obj, types) -> Tree:
@@ -340,7 +368,10 @@ def _tree_from_json(obj, types) -> Tree:
     children = obj.get("children", [])
     if not isinstance(children, list):
         raise ComptransError(f"tree JSON 'children' must be a list, got {type(children).__name__}")
-    return make_node(obj[key], tuple(_tree_from_json(c, types) for c in children))
+    nodes = []
+    for c in children:
+        nodes.append(_tree_from_json(c, types))
+    return make_node(obj[key], tuple(nodes))
 
 
 parse_syn_tree = partial(_parse_tree, types=TREE_TYPES[SYNTAX])

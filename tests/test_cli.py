@@ -304,10 +304,9 @@ grammar list uses list-sem
 
 
 def test_tree_deeper_than_recursion_limit_is_a_resource_error(tmp_path):
-    # one right-recursive parse, 250 levels deep, under a lowered limit: the
-    # frames a tree level takes differ between interpreters, and under the
-    # default limit 3.10 and 3.11 translate 400 tokens and fail at 500, 3.12
-    # translates 600 and fails at 900, and 3.13 translates 800 and fails at 1,000
+    # one right-recursive parse, 250 levels deep, under a lowered limit; each
+    # tree level takes one frame, so under the default limit 3.10 to 3.13 all
+    # translate 988 tokens (3.12 and 3.13 reach 992) and fail just beyond
     (tmp_path / "list.cg").write_text(LIST_GRAMMAR)
     pair = tmp_path / "list.cgp"
     pair.write_text("semantics list.cg\nsource list.cg\ntarget list.cg\n")
@@ -323,6 +322,27 @@ def test_tree_deeper_than_recursion_limit_is_a_resource_error(tmp_path):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "recursion limit" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--trace",), ("--trace", "--format", "json")])
+def test_each_tree_level_takes_one_frame(tmp_path, mode):
+    # every walk calls itself once per child, so n levels need n frames and a few more
+    (tmp_path / "list.cg").write_text(LIST_GRAMMAR)
+    pair = tmp_path / "list.cgp"
+    pair.write_text("semantics list.cg\nsource list.cg\ntarget list.cg\n")
+    n = 300
+    utterance = " ".join(["a"] * (n - 1) + ["."])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n + 50)
+    try:
+        code, out, err = run_cli("translate", pair, "--utterance", utterance, "--cap", "1000000", *mode)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert utterance in out or json.loads(out)["translations"] == [utterance.split()]
 
 
 @pytest.mark.parametrize(

@@ -35,36 +35,13 @@ from comptrans import (
     translate_sem,
     tree_depth,
     validate_grammar,
-    validate_pair,
-    validate_semantics,
     well_formed_sem_trees,
 )
 from comptrans.model import Relabelling, Signature
 from comptrans.parsing import _generate
+from comptrans.trees import _to_json
+from conftest import MIRROR_WORDS
 from oracles import generable_utterances, shared_wellformed_sem_trees, translate_by_tree
-
-MIRROR_WORDS = "abcdefghi"
-
-
-@pytest.fixture(scope="module")
-def mirror():
-    """``S -> S S`` read as ``$1 $2`` and written as ``$2 $1``: n words have Catalan(n-1) parses."""
-    sc = validate_semantics(
-        SemanticComponent(
-            "mirror-sem",
-            ("Sbar",),
-            tuple(BasicMeaning(f"m{w}", "Sbar") for w in MIRROR_WORDS),
-            (SemRule("C", ("Sbar", "Sbar"), "Sbar"),),
-        )
-    )
-
-    def grammar(name, template):
-        basics = tuple(BasicExpression(f"{name}{w}", "S", (f"{name}{w}",), (f"m{w}",)) for w in MIRROR_WORDS)
-        rules = (SyntacticRule("R", ("S", "S"), "S", template, ("C",)),)
-        return validate_grammar(CompositionalGrammar(name, ("S",), basics, rules, sc))
-
-    return validate_pair(grammar("x", (1, 2)), grammar("y", (2, 1)))
-
 
 def distinct_subtrees(trees) -> int:
     """Subtree objects reachable from ``trees``, each counted once however often it is shared."""
@@ -254,7 +231,7 @@ def test_each_stage_handles_each_distinct_subtree_once(mirror, monkeypatch):
     assert calls[id(tgt.signature)] <= 2983  # the filter
 
 
-@pytest.mark.parametrize("stage", ["seman", "typed", "semgen", "filter", "generate"])
+@pytest.mark.parametrize("stage", ["seman", "typed", "semgen", "filter", "generate", "json"])
 def test_a_memo_outliving_its_trees_gives_fresh_results(enfr, stage):
     # each tree is dropped before the next is built, which may then take its
     # memory and so its id; the memo pins the trees it holds, so no entry is
@@ -269,6 +246,7 @@ def test_a_memo_outliving_its_trees_gives_fresh_results(enfr, stage):
         "semgen": (partial(semgen, tgt), sem_trees, parse_sem_tree),
         "filter": (partial(is_cfg_well_formed, tgt), candidates, parse_syn_tree),
         "generate": (partial(_generate, tgt), [t for t in candidates if is_cfg_well_formed(tgt, t)], parse_syn_tree),
+        "json": (lambda t, memo=None: _to_json(t, {} if memo is None else memo), candidates, parse_syn_tree),
     }[stage]
     memo: dict = {}
     for text in map(format_tree, trees * 2):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comptrans import load_pair, parse_file, translate, validate_pair
+from comptrans import enumerate_syn_trees, load_pair, parse_file, translate, validate_pair
 from comptrans.render import dump_json, trace_to_json, trees_to_json
-from conftest import FIXTURES
+from conftest import FIXTURES, MIRROR_WORDS
 
 
 def stdlib(doc) -> str:
@@ -124,7 +124,21 @@ def test_trace_keeps_basics_and_meanings_of_one_name_apart():
     assert doc["target_trees"] == [
         {"tree": {"rule": "Q", "children": [{"basic": "house"}]}, "well_formed": True}
     ]
-    assert doc["source_trees"][0]["children"][0] is doc["target_trees"][0]["tree"]["children"][0]
+    # one dict per tree object within a document: the three ``house`` leaves are three objects
+    dicts: dict = {}
+    for t, part in zip(trace.source_trees, doc["source_trees"]):
+        record_dicts(t, part, dicts)
+    for (t, _), entry in [*zip(trace.sem_trees, doc["sem_trees"]), *zip(trace.target_trees, doc["target_trees"])]:
+        record_dicts(t, entry["tree"], dicts)
+    assert all(len(ids) == 1 for ids in dicts.values())
+    assert len(set().union(*dicts.values())) == len(dicts) == 6
+
+
+def record_dicts(tree, part, dicts: dict) -> None:
+    """Add, for each tree object in ``tree``, the id of the dict ``part`` gives it to ``dicts[id(object)]``."""
+    dicts.setdefault(id(tree), set()).add(id(part))
+    for child, child_part in zip(tree.children, part.get("children", ())):
+        record_dicts(child, child_part, dicts)
 
 
 def test_equal_subtrees_are_one_part():
@@ -140,14 +154,20 @@ def test_equal_subtrees_are_one_part():
     assert docs[0] is docs[1]
 
 
-def test_serializing_a_trace_leaves_no_cyclic_garbage():
-    trace = translate(load_pair(FIXTURES / "enfr-np.cgp").pair, "the house".split())
+@pytest.mark.parametrize("case", ["enfr-np", "mirror", "enumerate"])
+def test_serializing_a_trace_leaves_no_cyclic_garbage(case, enfr, mirror):
+    # every stage's memo and every intermediate tree go with the call that made them
+    build = {
+        "enfr-np": lambda: trace_to_json(translate(enfr.pair, "the house".split())),
+        "mirror": lambda: trace_to_json(translate(mirror, [f"x{w}" for w in MIRROR_WORDS])),
+        "enumerate": lambda: trees_to_json(enumerate_syn_trees(mirror.source, "S", 3)),
+    }[case]
     gc.collect()
     gc.disable()
     try:
-        text = dump_json(trace_to_json(trace))
+        text = dump_json(build())
         found = gc.collect()
     finally:
         gc.enable()
-    assert text == stdlib(trace_to_json(trace))
+    assert text == stdlib(build())
     assert found == 0
