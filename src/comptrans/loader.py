@@ -28,7 +28,8 @@ to the pair file) and declare the category correspondence:
     correspond <SemCat> -> { <SynCat>... } <conjunctive|disjunctive>
 
 Loading is deterministic: the same bytes always produce structurally equal
-values.
+values. A token is its source text, quotes included, and its column is worked
+out again from the line only when an error is reported there.
 """
 
 import re
@@ -60,91 +61,95 @@ _PLACEHOLDER_RE = re.compile(r"^\$(\d+)$")
 _TOKEN_RE = re.compile(r'"[^"]*"?|[,#]|[^ \t#",]+')
 
 
-class Token(NamedTuple):
-    text: str
-    column: int
-    quoted: bool = False
+def _text(tok: str) -> str:
+    """What a token says: a quoted token without its quotes."""
+    return tok[1:-1] if tok[0] == '"' else tok
 
 
 def _directives(text: str, path: str | None):
-    """``(line parser past the keyword, keyword token)`` for each non-empty line.
+    """``(line parser past the keyword, keyword)`` for each non-empty line.
 
     Every line is lexed before the first is yielded, so a lexical error is
     reported before a directive error on an earlier line.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = []
-        for m in _TOKEN_RE.finditer(raw):
-            tok, col = m.group(), m.start() + 1
-            if tok == "#":
-                break
+        tokens = _TOKEN_RE.findall(raw)
+        if "#" in tokens:
+            del tokens[tokens.index("#") :]
+        if not tokens:
+            continue
+        lp = _LineParser(raw, tokens, path, lineno)
+        for i, tok in enumerate(tokens):
             if tok[0] != '"':
-                tokens.append(Token(tok, col))
                 continue
             if len(tok) == 1 or tok[-1] != '"':
-                raise GrammarFormatError("unterminated quoted token", path, lineno, col)
+                raise lp.error("unterminated quoted token", i)
             if len(tok) == 2:
-                raise GrammarFormatError("empty quoted token", path, lineno, col)
+                raise lp.error("empty quoted token", i)
             if " " in tok or "\t" in tok:
-                raise GrammarFormatError(
-                    "quoted token may not contain whitespace or quotes", path, lineno, col
-                )
-            tokens.append(Token(tok[1:-1], col, True))
-        if tokens:
-            lines.append(_LineParser(tokens, path, lineno))
+                raise lp.error("quoted token may not contain whitespace or quotes", i)
+        lines.append(lp)
     for lp in lines:
-        head = lp.tokens[0]
-        if head.quoted:
-            raise lp.error("line must start with a directive keyword", head)
-        lp.pos = 1
-        yield lp, head
+        if lp.tokens[0][0] == '"':
+            raise lp.error("line must start with a directive keyword", 0)
+        yield lp, lp.tokens[0]
 
 
 class _LineParser:
-    """Cursor over one token list, with located errors."""
+    """Cursor over one line's tokens, past its keyword, with located errors."""
 
-    def __init__(self, tokens: list[Token], path: str | None, lineno: int):
+    def __init__(self, raw: str, tokens: list[str], path: str | None, lineno: int):
+        self.raw = raw
         self.tokens = tokens
         self.path = path
         self.lineno = lineno
-        self.pos = 0
+        self.pos = 1
 
-    def error(self, message: str, tok: Token | None = None) -> GrammarFormatError:
-        col = tok.column if tok is not None else (self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1)
-        return GrammarFormatError(message, self.path, self.lineno, col)
+    def error(self, message: str, at: int | None = None) -> GrammarFormatError:
+        """An error at token ``at``, or just past the last token's text (a quoted one's closing quote)."""
+        past = 0
+        if at is None:
+            at = len(self.tokens) - 1
+            past = len(_text(self.tokens[at]))
+        start = [m.start() for m in _TOKEN_RE.finditer(self.raw)][at]
+        return GrammarFormatError(message, self.path, self.lineno, start + 1 + past)
 
-    def peek(self) -> Token | None:
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
+    def next(self, what: str) -> str:
+        if self.pos == len(self.tokens):
             raise self.error(f"expected {what} but the line ended")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, literal: str) -> Token:
-        tok = self.next(f"'{literal}'")
-        if tok.quoted or tok.text != literal:
-            raise self.error(f"expected '{literal}' but found '{tok.text}'", tok)
-        return tok
+    def expect(self, literal: str) -> None:
+        if self.peek() != literal:
+            raise self._mismatch(f"'{literal}'")
+        self.pos += 1
 
     def name(self, what: str) -> str:
+        pos = self.pos
+        if pos < len(self.tokens) and _NAME_RE.match(self.tokens[pos]):
+            self.pos = pos + 1
+            return self.tokens[pos]
+        raise self._mismatch(what)
+
+    def _mismatch(self, what: str) -> GrammarFormatError:
+        """The error for the token at the cursor, which is not ``what``, or for the line ending before one."""
         tok = self.next(what)
-        if tok.quoted or not _NAME_RE.match(tok.text):
-            raise self.error(f"expected {what} but found '{tok.text}'", tok)
-        return tok.text
+        return self.error(f"expected {what} but found '{_text(tok)}'", self.pos - 1)
 
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise self.error(f"unexpected token '{tok.text}'", tok)
+            raise self.error(f"unexpected token '{_text(tok)}'", self.pos)
 
     def names_to_end(self, what: str, sep: str | None = None) -> list[str]:
         """One or more names up to the end of the line, each after the first preceded by ``sep``."""
         names = [self.name(what)]
-        while self.peek() is not None:
+        while self.pos < len(self.tokens):
             if sep is not None:
                 self.expect(sep)
             names.append(self.name(what))
@@ -153,14 +158,12 @@ class _LineParser:
     def bracketed_names(self, what: str, open_: str = "(", close: str = ")") -> list[str]:
         self.expect(open_)
         names = []
-        while True:
-            tok = self.peek()
-            if tok is None:
+        while self.peek() != close:
+            if self.pos == len(self.tokens):
                 raise self.error(f"expected '{close}' but the line ended")
-            if not tok.quoted and tok.text == close:
-                self.pos += 1
-                return names
             names.append(self.name(what))
+        self.pos += 1
+        return names
 
 
 class FileContents(NamedTuple):
@@ -199,12 +202,12 @@ class _FileParser:
 
     def parse(self, text: str) -> FileContents:
         for lp, head in _directives(text, self.path):
-            handler = getattr(self, "_dir_" + head.text, None)
+            handler = getattr(self, "_dir_" + head, None)
             if handler is None:
-                raise lp.error(f"unknown directive '{head.text}'", head)
-            block = _BLOCK_OF.get(head.text)
+                raise lp.error(f"unknown directive '{head}'", 0)
+            block = _BLOCK_OF.get(head)
             if block is not None and self.block != block:
-                raise lp.error(f"'{head.text}' is only allowed inside a '{block}' block", head)
+                raise lp.error(f"'{head}' is only allowed inside a '{block}' block", 0)
             handler(lp)
         self._close_block()
         return FileContents(tuple(self.semantics), tuple(self.grammars))
@@ -283,24 +286,22 @@ class _FileParser:
 
     @staticmethod
     def _until_arrow(lp: _LineParser, what: str):
-        """The tokens before ``=>``, which is consumed."""
-        while True:
-            tok = lp.peek()
-            if tok is None:
-                raise lp.error(f"expected '=>' before the {what} list")
-            lp.pos += 1
-            if not tok.quoted and tok.text == "=>":
+        """``(index, token)`` for each token before ``=>``, which is consumed."""
+        for i in range(lp.pos, len(lp.tokens)):
+            if lp.tokens[i] == "=>":
+                lp.pos = i + 1
                 return
-            yield tok
+            yield i, lp.tokens[i]
+        raise lp.error(f"expected '=>' before the {what} list")
 
     def _dir_basic(self, lp: _LineParser) -> None:
         name, _, cat = self._declaration(lp, op=False)
         lp.expect("=")
         surface = []
-        for tok in self._until_arrow(lp, "meaning"):
-            if not tok.quoted:
-                raise lp.error(f"surface tokens must be quoted, found '{tok.text}'", tok)
-            surface.append(tok.text)
+        for i, tok in self._until_arrow(lp, "meaning"):
+            if tok[0] != '"':
+                raise lp.error(f"surface tokens must be quoted, found '{tok}'", i)
+            surface.append(tok[1:-1])
         if not surface:
             raise lp.error(f"basic expression '{name}' has an empty surface")
         meanings = lp.names_to_end("basic meaning name", ",")
@@ -311,19 +312,16 @@ class _FileParser:
         name, args, result = self._declaration(lp, op=True)
         lp.expect("=")
         template: list[str | int] = []
-        for tok in self._until_arrow(lp, "semantic rule"):
-            if tok.quoted:
-                template.append(tok.text)
+        for i, tok in self._until_arrow(lp, "semantic rule"):
+            if tok[0] == '"':
+                template.append(tok[1:-1])
                 continue
-            m = _PLACEHOLDER_RE.match(tok.text)
+            m = _PLACEHOLDER_RE.match(tok)
             if not m:
-                raise lp.error(
-                    f"template items are quoted terminals or $<i> placeholders, found '{tok.text}'",
-                    tok,
-                )
+                raise lp.error(f"template items are quoted terminals or $<i> placeholders, found '{tok}'", i)
             idx = int(m.group(1))
             if idx < 1:
-                raise lp.error("placeholder indices start at $1", tok)
+                raise lp.error("placeholder indices start at $1", i)
             template.append(idx)
         if not template:
             raise lp.error(f"rule '{name}' has an empty template")
@@ -401,31 +399,30 @@ def load_pair(path: str | Path) -> LoadedPair:
     correspond_lines: list[tuple[_LineParser, str, list[str], str]] = []
 
     for lp, head in _directives(text, str(p)):
-        if head.text in ("semantics", "source", "target"):
-            ref_path = lp.next("file path").text
+        if head in ("semantics", "source", "target"):
+            ref_path = _text(lp.next("file path"))
             name = lp.name("name") if lp.peek() is not None else None
             lp.done()
-            if head.text in refs:
-                raise lp.error(f"duplicate '{head.text}' line", head)
-            refs[head.text] = (lp, ref_path, name)
-        elif head.text == "correspond":
+            if head in refs:
+                raise lp.error(f"duplicate '{head}' line", 0)
+            refs[head] = (lp, ref_path, name)
+        elif head == "correspond":
             sem_cat = lp.name("semantic category name")
             lp.expect("->")
             cats = lp.bracketed_names("syntactic category name", "{", "}")
             label = lp.next("'conjunctive' or 'disjunctive'")
-            if label.quoted or label.text not in ("conjunctive", "disjunctive"):
-                raise lp.error(f"expected 'conjunctive' or 'disjunctive', found '{label.text}'", label)
+            if label not in ("conjunctive", "disjunctive"):
+                raise lp.error(f"expected 'conjunctive' or 'disjunctive', found '{_text(label)}'", lp.pos - 1)
             lp.done()
             if not cats:
                 raise lp.error(f"correspondence set for '{sem_cat}' is empty")
-            correspond_lines.append((lp, sem_cat, cats, label.text))
+            correspond_lines.append((lp, sem_cat, cats, label))
         else:
-            raise lp.error(f"unknown directive '{head.text}'", head)
+            raise lp.error(f"unknown directive '{head}'", 0)
 
-    top = _LineParser([], str(p), 1)
     for key in ("semantics", "source", "target"):
         if key not in refs:
-            raise top.error(f"pair file must declare a '{key}' line")
+            raise GrammarFormatError(f"pair file must declare a '{key}' line", str(p), 1, 1)
 
     def contents(rel: str, env=None) -> FileContents:
         path = (p.parent / rel).resolve()

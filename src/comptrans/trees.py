@@ -294,43 +294,43 @@ def format_tree(t: Tree) -> str:
 
 
 def _parse_tree(text: str, types) -> Tree:
-    make_leaf, make_node = types
     tokens = _TREE_TOKEN_RE.findall(text)
-    pos = 0
-
-    def fail(why: str):
-        raise ComptransError(f"cannot parse tree text ({why}): {text!r}")
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end")
-        name = tokens[pos]
-        if name in "(),":
-            fail(f"unexpected '{name}'")
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            children = []
-            if pos < len(tokens) and tokens[pos] == ")":
-                pos += 1
-                return make_node(name, ())
-            while True:
-                children.append(parse())
-                if pos >= len(tokens):
-                    fail("missing ')'")
-                tok = tokens[pos]
-                pos += 1
-                if tok == ")":
-                    return make_node(name, tuple(children))
-                if tok != ",":
-                    fail(f"expected ',' or ')', found '{tok}'")
-        return make_leaf(name)
-
-    result = parse()
+    tree, pos = _parse_subtree(text, tokens, 0, types)
     if pos != len(tokens):
-        fail(f"trailing tokens after tree: {tokens[pos:]}")
-    return result
+        raise _tree_text_error(text, f"trailing tokens after tree: {tokens[pos:]}")
+    return tree
+
+
+def _parse_subtree(text: str, tokens: list[str], pos: int, types) -> tuple[Tree, int]:
+    """The tree whose text starts at ``tokens[pos]``, and the position just past it."""
+    make_leaf, make_node = types
+    if pos >= len(tokens):
+        raise _tree_text_error(text, "unexpected end")
+    name = tokens[pos]
+    if name in "(),":
+        raise _tree_text_error(text, f"unexpected '{name}'")
+    pos += 1
+    if pos == len(tokens) or tokens[pos] != "(":
+        return make_leaf(name), pos
+    pos += 1
+    if pos < len(tokens) and tokens[pos] == ")":
+        return make_node(name, ()), pos + 1
+    children = []
+    while True:
+        child, pos = _parse_subtree(text, tokens, pos, types)
+        children.append(child)
+        if pos >= len(tokens):
+            raise _tree_text_error(text, "missing ')'")
+        tok = tokens[pos]
+        pos += 1
+        if tok == ")":
+            return make_node(name, tuple(children)), pos
+        if tok != ",":
+            raise _tree_text_error(text, f"expected ',' or ')', found '{tok}'")
+
+
+def _tree_text_error(text: str, why: str) -> ComptransError:
+    return ComptransError(f"cannot parse tree text ({why}): {text!r}")
 
 
 def tree_to_json(t: Tree) -> dict:

@@ -360,6 +360,15 @@ SEM_AND_GRAMMAR = (
         # a comma ends a bare token and is a token of its own
         ("semantics s\n  semcat X,Y\n", "t.cg:2:11: expected semantic category name but found ','"),
         (SEM_AND_GRAMMAR + "  rule R : ( V ) -> W = $1 => F,", "t.cg:7:33: expected semantic rule name but the line ended"),
+        # "the line ended" after a quoted token points at its closing quote
+        (SEM_AND_GRAMMAR + '  basic v : V = "v"', "t.cg:7:18: expected '=>' before the meaning list"),
+        (SEM_AND_GRAMMAR + '  basic v : V = "v" => x "y"', "t.cg:7:26: expected ',' but found 'y'"),
+        # a bad surface token is reported before a missing '=>'
+        (SEM_AND_GRAMMAR + "  basic v : V = x", "t.cg:7:17: surface tokens must be quoted, found 'x'"),
+        # a quoted token is never a name; a message shows it without its quotes
+        (SEM_AND_GRAMMAR + '  basic "v" : V = "v" => x', "t.cg:7:9: expected basic expression name but found 'v'"),
+        ('semantics s\n  semcat X "Y"', "t.cg:2:12: expected semantic category name but found 'Y'"),
+        ('semantics s\n  meaning x : X "z"', "t.cg:2:17: unexpected token 'z'"),
         # columns count a tab as one character
         (SEM_AND_GRAMMAR + "\trule\tR\t:\t(\tV\t)\t->\tW\t=\t$0\t=>\tF", "t.cg:7:24: placeholder indices start at $1"),
         # a no-break space is not a blank: it stays inside the bare token
@@ -401,6 +410,14 @@ def test_format_error_messages(text, expected):
     [
         ("semantics s.cg\nconnect a b\n", "2:1: unknown directive 'connect'"),
         ("semantics s.cg\nsource a.cg\nsource b.cg\n", "3:1: duplicate 'source' line"),
+        (
+            "semantics s.cg\nsource a.cg\ntarget b.cg\ncorrespond NPbar -> { NP } \"conjunctive\"\n",
+            "4:28: expected 'conjunctive' or 'disjunctive', found 'conjunctive'",
+        ),
+        (
+            "semantics s.cg\nsource a.cg\ntarget b.cg\ncorrespond NPbar -> { NP\n",
+            "4:25: expected '}' but the line ended",
+        ),
     ],
 )
 def test_pair_file_format_error_messages(tmp_path, text, expected):

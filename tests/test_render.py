@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comptrans import enumerate_syn_trees, load_pair, parse_file, translate, validate_pair
+from comptrans import (
+    enumerate_syn_trees,
+    load_pair,
+    parse_file,
+    parse_sem_tree,
+    translate,
+    tree_to_json,
+    validate_pair,
+)
 from comptrans.render import dump_json, trace_to_json, trees_to_json
 from conftest import FIXTURES, MIRROR_WORDS
 
@@ -154,13 +162,15 @@ def test_equal_subtrees_are_one_part():
     assert docs[0] is docs[1]
 
 
-@pytest.mark.parametrize("case", ["enfr-np", "mirror", "enumerate"])
+@pytest.mark.parametrize("case", ["enfr-np", "mirror", "enumerate", "parse tree", "load pair"])
 def test_serializing_a_trace_leaves_no_cyclic_garbage(case, enfr, mirror):
     # every stage's memo and every intermediate tree go with the call that made them
     build = {
         "enfr-np": lambda: trace_to_json(translate(enfr.pair, "the house".split())),
         "mirror": lambda: trace_to_json(translate(mirror, [f"x{w}" for w in MIRROR_WORDS])),
         "enumerate": lambda: trees_to_json(enumerate_syn_trees(mirror.source, "S", 3)),
+        "parse tree": lambda: tree_to_json(parse_sem_tree("M1(def, house)")),
+        "load pair": lambda: load_pair(FIXTURES / "enfr-np.cgp").correspondence,
     }[case]
     gc.collect()
     gc.disable()
