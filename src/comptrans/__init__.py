@@ -10,158 +10,14 @@ pipeline can ever come back empty.
 
 __version__ = "0.1.0"
 
-from .completeness import (
-    CONJUNCTIVE,
-    DISJUNCTIVE,
-    CategoryCorrespondence,
-    CompletenessReport,
-    CorrespondenceEntry,
-    Violation,
-    check_homomorphism,
-    check_n1_completeness,
-    check_nn_completeness,
-    find_incompleteness_witness,
-    infer_n1_map,
-    n1_correspondence,
-    validate_labels,
-    witness_report,
-)
-from .errors import (
-    AmbiguityCapError,
-    ComptransError,
-    CorrespondenceError,
-    GrammarFormatError,
-    GrammarValidationError,
-    IllFormedTreeError,
-    ResourceLimitError,
-    SemanticsMismatchError,
-    TupleCapError,
-    UnknownNameError,
-)
-from .loader import (
-    FileContents,
-    LoadedPair,
-    load_grammar,
-    load_grammar_file,
-    load_pair,
-    parse_file,
-)
-from .model import (
-    BasicExpression,
-    BasicMeaning,
-    CompositionalGrammar,
-    GrammarPair,
-    SemanticComponent,
-    SemRule,
-    SyntacticRule,
-    validate_grammar,
-    validate_pair,
-    validate_semantics,
-)
-from .parsing import DEFAULT_AMBIGUITY_CAP, morsynan, morsyngen
-from .pipeline import (
-    TranslationTrace,
-    is_well_formed_sem_tree,
-    seman,
-    semgen,
-    translate,
-    translate_sem,
-    well_formed_sem_trees,
-)
-from .trees import (
-    SemLeaf,
-    SemNode,
-    SemTree,
-    SynLeaf,
-    SynNode,
-    SynTree,
-    enumerate_sem_trees,
-    enumerate_syn_trees,
-    format_tree,
-    is_cfg_well_formed,
-    is_sem_well_typed,
-    parse_sem_tree,
-    parse_syn_tree,
-    random_sem_tree,
-    sem_cat,
-    sem_tree_from_json,
-    syn_cat,
-    syn_tree_from_json,
-    tree_depth,
-    tree_key,
-    tree_to_json,
-)
+# each module's __all__ is the part of its API that the package republishes
+from . import completeness, errors, loader, model, parsing, pipeline, trees
+from .completeness import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .loader import *  # noqa: F403
+from .model import *  # noqa: F403
+from .parsing import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .trees import *  # noqa: F403
 
-__all__ = [
-    "AmbiguityCapError",
-    "BasicExpression",
-    "BasicMeaning",
-    "CONJUNCTIVE",
-    "CategoryCorrespondence",
-    "CompletenessReport",
-    "CompositionalGrammar",
-    "ComptransError",
-    "CorrespondenceEntry",
-    "CorrespondenceError",
-    "DEFAULT_AMBIGUITY_CAP",
-    "DISJUNCTIVE",
-    "FileContents",
-    "GrammarFormatError",
-    "GrammarPair",
-    "GrammarValidationError",
-    "IllFormedTreeError",
-    "LoadedPair",
-    "ResourceLimitError",
-    "SemLeaf",
-    "SemNode",
-    "SemRule",
-    "SemTree",
-    "SemanticComponent",
-    "SemanticsMismatchError",
-    "SynLeaf",
-    "SynNode",
-    "SynTree",
-    "SyntacticRule",
-    "TranslationTrace",
-    "TupleCapError",
-    "UnknownNameError",
-    "Violation",
-    "check_homomorphism",
-    "check_n1_completeness",
-    "check_nn_completeness",
-    "enumerate_sem_trees",
-    "enumerate_syn_trees",
-    "find_incompleteness_witness",
-    "format_tree",
-    "infer_n1_map",
-    "is_cfg_well_formed",
-    "is_sem_well_typed",
-    "is_well_formed_sem_tree",
-    "load_grammar",
-    "load_grammar_file",
-    "load_pair",
-    "morsynan",
-    "morsyngen",
-    "n1_correspondence",
-    "parse_file",
-    "parse_sem_tree",
-    "parse_syn_tree",
-    "random_sem_tree",
-    "sem_cat",
-    "sem_tree_from_json",
-    "seman",
-    "semgen",
-    "syn_cat",
-    "syn_tree_from_json",
-    "translate",
-    "translate_sem",
-    "tree_depth",
-    "tree_key",
-    "tree_to_json",
-    "validate_grammar",
-    "validate_labels",
-    "validate_pair",
-    "validate_semantics",
-    "well_formed_sem_trees",
-    "witness_report",
-]
+__all__ = [name for m in (completeness, errors, loader, model, parsing, pipeline, trees) for name in m.__all__]

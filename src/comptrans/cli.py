@@ -289,7 +289,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # every walk takes one frame per tree level: 988 list tokens pass on 3.10-3.13
+        # every walk takes one frame per tree level; how deep a list passes depends on the
+        # entry point's own frames: 988 tokens via `comptrans`, 986 via `python -m comptrans.cli`
         print(
             "error: a derivation tree nests deeper than the interpreter's recursion limit "
             f"({sys.getrecursionlimit()})",

@@ -27,6 +27,7 @@ a witness is always a real counterexample.
 import itertools
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CorrespondenceError, TupleCapError
@@ -38,25 +39,50 @@ from .trees import SemTree, format_tree, realize_node, state_rounds
 from .pipeline import translate_sem, well_formed_sem_trees  # noqa: F401
 from .trees import enumerate_sem_trees  # noqa: F401
 
+__all__ = [
+    "CONJUNCTIVE", "DISJUNCTIVE", "CategoryCorrespondence", "CompletenessReport", "CorrespondenceEntry",
+    "Violation", "check_homomorphism", "check_n1_completeness", "check_nn_completeness",
+    "find_incompleteness_witness", "infer_n1_map", "n1_correspondence", "validate_labels",
+    "witness_report",
+]
+
 CONJUNCTIVE = "conjunctive"
 DISJUNCTIVE = "disjunctive"
 
 DEFAULT_TUPLE_CAP = 10**6
 
 
-class CorrespondenceEntry(NamedTuple):
-    """One semantic category's target categories and its label."""
-
-    categories: tuple[str, ...]  # sorted, non-empty
+class _EntryFields(NamedTuple):
+    categories: tuple[str, ...]
     label: str  # CONJUNCTIVE or DISJUNCTIVE
 
 
+class CorrespondenceEntry(_EntryFields):
+    """One semantic category's target categories, sorted without repeats, and its label."""
+
+    __slots__ = ()
+
+    def __new__(cls, categories, label):
+        return super().__new__(cls, tuple(sorted(set(categories))), label)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` sorts too
+
+
 class _CorrespondenceFields(NamedTuple):
-    entries: tuple[tuple[str, CorrespondenceEntry], ...]  # sorted by category
+    entries: tuple[tuple[str, CorrespondenceEntry], ...]
 
 
 class CategoryCorrespondence(_CorrespondenceFields):
-    """Map from semantic categories to sets of target syntactic categories."""
+    """Map from semantic categories to sets of target syntactic categories.
+
+    ``entries`` is put in semantic-category order when it is built. Every check
+    that reads a correspondence first rejects an invalid one.
+    """
+
+    def __new__(cls, entries):
+        return super().__new__(cls, tuple(sorted(entries, key=itemgetter(0))))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` sorts too
 
     @cached_property
     def by_category(self) -> dict[str, CorrespondenceEntry]:
@@ -78,11 +104,35 @@ class CategoryCorrespondence(_CorrespondenceFields):
 def n1_correspondence(mapping: dict[str, str]) -> CategoryCorrespondence:
     """Wrap a one-to-one category map as singleton, conjunctive sets."""
     return CategoryCorrespondence(
-        tuple(
-            (sem_cat, CorrespondenceEntry((syn_cat,), CONJUNCTIVE))
-            for sem_cat, syn_cat in sorted(mapping.items())
-        )
+        (sem_cat, CorrespondenceEntry((syn_cat,), CONJUNCTIVE)) for sem_cat, syn_cat in mapping.items()
     )
+
+
+def _correspondence_errors(pair: GrammarPair, entries):
+    """``(index, message)`` for each bad ``(semantic category, target categories, label)``, in order.
+
+    An entry is bad when its semantic category is unknown or already has an
+    entry, its set is empty, its label is not one of the two, or its set names
+    a category the target grammar does not declare.
+    """
+    sem_cats = set(pair.source.semantics.categories)
+    target_cats = set(pair.target.categories)
+    seen = set()
+    for i, (sem_cat, cats, label) in enumerate(entries):
+        if sem_cat not in sem_cats:
+            yield i, f"correspondence names unknown semantic category '{sem_cat}'"
+        elif sem_cat in seen:
+            yield i, f"duplicate correspondence for semantic category '{sem_cat}'"
+        elif not cats:
+            yield i, f"correspondence set for '{sem_cat}' is empty"
+        elif label not in (CONJUNCTIVE, DISJUNCTIVE):
+            yield i, f"correspondence for '{sem_cat}' has label '{label}', not 'conjunctive' or 'disjunctive'"
+        elif undeclared := [c for c in cats if c not in target_cats]:
+            yield i, (
+                f"correspondence for '{sem_cat}' names '{undeclared[0]}', which grammar "
+                f"'{pair.target.name}' does not declare"
+            )
+        seen.add(sem_cat)
 
 
 class Violation(NamedTuple):
@@ -238,20 +288,13 @@ def check_n1_completeness(pair: GrammarPair) -> CompletenessReport:
 
 
 def _require_coverage(pair: GrammarPair, corr: CategoryCorrespondence) -> None:
-    sc = pair.source.semantics
-    missing = [c for c in sc.categories if c not in corr.by_category]
+    for _, message in _correspondence_errors(pair, ((c, *e) for c, e in corr.entries)):
+        raise CorrespondenceError(message)
+    missing = [c for c in pair.source.semantics.categories if c not in corr.by_category]
     if missing:
         raise CorrespondenceError(
             f"correspondence has no entry for semantic categories: {', '.join(sorted(missing))}"
         )
-    target_cats = set(pair.target.categories)
-    for cat, entry in corr.entries:
-        unknown = [c for c in entry.categories if c not in target_cats]
-        if unknown:
-            raise CorrespondenceError(
-                f"correspondence for '{cat}' names categories not declared by grammar "
-                f"'{pair.target.name}': {', '.join(unknown)}"
-            )
 
 
 def _nn_typing_violations(pair: GrammarPair, corr: CategoryCorrespondence) -> list[Violation]:

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AmbiguityCapError", "ComptransError", "CorrespondenceError", "GrammarFormatError",
+    "GrammarValidationError", "IllFormedTreeError", "ResourceLimitError", "SemanticsMismatchError",
+    "TupleCapError", "UnknownNameError",
+]
+
 
 class ComptransError(Exception):
     """Base class for all errors raised by this package."""

@@ -36,7 +36,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .completeness import CategoryCorrespondence, CorrespondenceEntry
+from .completeness import CategoryCorrespondence, CorrespondenceEntry, _correspondence_errors
 from .errors import ComptransError, GrammarFormatError, GrammarValidationError
 from .model import (
     SEMANTICS,
@@ -53,6 +53,8 @@ from .model import (
     validate_pair,
     validate_semantics,
 )
+
+__all__ = ["FileContents", "LoadedPair", "load_grammar", "load_grammar_file", "load_pair", "parse_file"]
 
 _NAME_RE = re.compile(r"^[^\W\d][\w'\-]*$")
 _PLACEHOLDER_RE = re.compile(r"^\$(\d+)$")
@@ -386,7 +388,9 @@ def pick(items: tuple, name: str | None, kind: str, path: str, hint: str, error=
             if x.name == name:
                 return x
         raise error(f"file '{path}' declares no {kind} '{name}'")
-    if len(items) != 1:
+    if not items:
+        raise error(f"file '{path}' declares no {kind}")
+    if len(items) > 1:
         raise error(f"file '{path}' declares {len(items)} {kind}s; {hint}")
     return items[0]
 
@@ -396,7 +400,8 @@ def load_pair(path: str | Path) -> LoadedPair:
     p = Path(path)
     text = read_text(p)
     refs: dict[str, tuple[_LineParser, str, str | None]] = {}
-    correspond_lines: list[tuple[_LineParser, str, list[str], str]] = []
+    correspond_lines: list[_LineParser] = []
+    entries: list[tuple[str, list[str], str]] = []
 
     for lp, head in _directives(text, str(p)):
         if head in ("semantics", "source", "target"):
@@ -416,7 +421,8 @@ def load_pair(path: str | Path) -> LoadedPair:
             lp.done()
             if not cats:
                 raise lp.error(f"correspondence set for '{sem_cat}' is empty")
-            correspond_lines.append((lp, sem_cat, cats, label))
+            correspond_lines.append(lp)
+            entries.append((sem_cat, cats, label))
         else:
             raise lp.error(f"unknown directive '{head}'", 0)
 
@@ -445,21 +451,9 @@ def load_pair(path: str | Path) -> LoadedPair:
     pair = validate_pair(grammars["source"], grammars["target"])
 
     correspondence = None
-    if correspond_lines:
-        entries = {}
-        target_cats = set(pair.target.categories)
-        for lp, sem_cat, cats, label in correspond_lines:
-            if sem_cat not in component.categories:
-                raise lp.error(f"correspondence names unknown semantic category '{sem_cat}'")
-            if sem_cat in entries:
-                raise lp.error(f"duplicate correspondence for semantic category '{sem_cat}'")
-            for c in cats:
-                if c not in target_cats:
-                    raise lp.error(
-                        f"correspondence for '{sem_cat}' names '{c}', which grammar "
-                        f"'{pair.target.name}' does not declare"
-                    )
-            entries[sem_cat] = CorrespondenceEntry(tuple(sorted(set(cats))), label)
-        correspondence = CategoryCorrespondence(tuple(sorted(entries.items())))
+    if entries:
+        for i, message in _correspondence_errors(pair, entries):
+            raise correspond_lines[i].error(message)
+        correspondence = CategoryCorrespondence((c, CorrespondenceEntry(cats, label)) for c, cats, label in entries)
 
     return LoadedPair(pair=pair, correspondence=correspondence, path=str(p))

@@ -21,6 +21,11 @@ from typing import NamedTuple
 
 from .errors import GrammarValidationError, SemanticsMismatchError, UnknownNameError
 
+__all__ = [
+    "BasicExpression", "BasicMeaning", "CompositionalGrammar", "GrammarPair", "SemanticComponent",
+    "SemRule", "SyntacticRule", "validate_grammar", "validate_pair", "validate_semantics",
+]
+
 #: A surface template is a tuple of items; ``str`` items are literal terminal
 #: tokens, ``int`` items are 1-based argument placeholders.
 TemplateItem = str | int

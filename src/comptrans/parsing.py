@@ -22,6 +22,8 @@ from .errors import AmbiguityCapError, IllFormedTreeError
 from .model import CompositionalGrammar, SyntacticRule
 from .trees import SynLeaf, SynNode, SynTree, is_cfg_well_formed
 
+__all__ = ["DEFAULT_AMBIGUITY_CAP", "morsynan", "morsyngen"]
+
 DEFAULT_AMBIGUITY_CAP = 10_000
 
 

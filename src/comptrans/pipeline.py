@@ -38,6 +38,11 @@ from .trees import (
 from .parsing import morsyngen  # noqa: F401
 from .trees import tree_key  # noqa: F401
 
+__all__ = [
+    "TranslationTrace", "is_well_formed_sem_tree", "seman", "semgen", "translate", "translate_sem",
+    "well_formed_sem_trees",
+]
+
 
 def seman(g: CompositionalGrammar, t: SynTree, memo: dict | None = None) -> list[SemTree]:
     """All semantic derivation trees of ``t``: interpret each node every way.

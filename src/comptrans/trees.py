@@ -33,6 +33,13 @@ from typing import NamedTuple
 from .errors import ComptransError
 from .model import SEMANTICS, SYNTAX, CompositionalGrammar, Relabelling, SemanticComponent, Signature
 
+__all__ = [
+    "SemLeaf", "SemNode", "SemTree", "SynLeaf", "SynNode", "SynTree", "enumerate_sem_trees",
+    "enumerate_syn_trees", "format_tree", "is_cfg_well_formed", "is_sem_well_typed", "parse_sem_tree",
+    "parse_syn_tree", "random_sem_tree", "sem_cat", "sem_tree_from_json", "syn_cat", "syn_tree_from_json",
+    "tree_depth", "tree_key", "tree_to_json",
+]
+
 Component = CompositionalGrammar | SemanticComponent
 
 
@@ -364,6 +371,8 @@ def _tree_from_json(obj, types) -> Tree:
     if not isinstance(obj[key], str):
         raise ComptransError(f"tree JSON '{key}' must be a string, got {type(obj[key]).__name__}")
     if key != "rule":
+        if "rule" in obj or "children" in obj:
+            raise ComptransError(f"tree JSON with a '{key}' key is a leaf and has no 'rule' or 'children': {obj!r}")
         return make_leaf(obj[key])
     children = obj.get("children", [])
     if not isinstance(children, list):

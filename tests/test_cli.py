@@ -231,6 +231,21 @@ def test_grammar_selection_in_multi_grammar_file(tmp_path):
     assert code == 0 and out == "R1a(le, chat)\n"
 
 
+def test_a_file_that_declares_nothing_to_pick_offers_no_choice(tmp_path):
+    code, out, err = run_cli("enumerate", f"{F}/np-sem.cg", "--cat", "NPbar")
+    assert (code, out) == (2, "")
+    assert err == f"error: file '{F}/np-sem.cg' declares no grammar\n"
+
+    for name in ("en-np.cg", "fr-np.cg"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    (tmp_path / "empty.cg").write_text("# declares nothing\n")
+    pair = tmp_path / "p.cgp"
+    pair.write_text("semantics empty.cg\nsource en-np.cg\ntarget fr-np.cg\n")
+    code, out, err = run_cli("validate", pair)
+    assert (code, out) == (2, "")
+    assert err == f"error: {pair}:1:19: file 'empty.cg' declares no semantic component\n"
+
+
 JSON_COMMANDS = [
     ("validate", f"{F}/paper-example.cg"),
     ("parse", f"{F}/paper-example.cg", "--utterance", "e c b"),

@@ -214,6 +214,52 @@ def test_nn_requires_full_coverage(enfr):
         check_nn_completeness(enfr.pair, partial)
 
 
+NP = ("NPbar", CorrespondenceEntry(("NPp",), CONJUNCTIVE))
+
+
+@pytest.mark.parametrize(
+    "np_entries, message",
+    [
+        (
+            [("NPbar", CorrespondenceEntry(("NPp",), "Conjunctive"))],
+            "correspondence for 'NPbar' has label 'Conjunctive', not 'conjunctive' or 'disjunctive'",
+        ),
+        ([("NPbar", CorrespondenceEntry((), CONJUNCTIVE))], "correspondence set for 'NPbar' is empty"),
+        ([NP, NP], "duplicate correspondence for semantic category 'NPbar'"),
+        (
+            [NP, ("Nope", CorrespondenceEntry(("NPp",), CONJUNCTIVE))],
+            "correspondence names unknown semantic category 'Nope'",
+        ),
+        (
+            [("NPbar", CorrespondenceEntry(("NPp", "NPq"), CONJUNCTIVE))],
+            "correspondence for 'NPbar' names 'NPq', which grammar 'fr-np-broken' does not declare",
+        ),
+    ],
+)
+def test_every_check_rejects_an_invalid_api_built_correspondence(enfr_broken, np_entries, message):
+    loaded = enfr_broken.correspondence
+    corr = CategoryCorrespondence([e for e in loaded.entries if e[0] != "NPbar"] + np_entries)
+    for check in (check_nn_completeness, validate_labels):
+        with pytest.raises(CorrespondenceError) as err:
+            check(enfr_broken.pair, corr)
+        assert str(err.value) == message
+
+
+def test_correspondences_are_canonical_when_built(enfr_broken):
+    loaded = enfr_broken.correspondence
+    # entries in reverse order, each set reversed with its first category repeated
+    shuffled = CategoryCorrespondence(
+        (c, CorrespondenceEntry(e.categories[::-1] + e.categories[:1], e.label)) for c, e in loaded.entries[::-1]
+    )
+    pair = enfr_broken.pair
+    for check in (check_nn_completeness, validate_labels):
+        assert check(pair, shuffled).violations == check(pair, loaded).violations
+    assert shuffled == loaded
+    # _replace builds through the same canonical form
+    assert loaded._replace(entries=shuffled.entries[::-1]) == loaded
+    assert loaded.entries[0][1]._replace(categories=("DETm", "DETf", "DETf")) == loaded.entries[0][1]
+
+
 def test_nn_tuple_cap(enfr):
     with pytest.raises(TupleCapError):
         check_nn_completeness(enfr.pair, enfr.correspondence, tuple_cap=1)

@@ -428,6 +428,41 @@ def test_pair_file_format_error_messages(tmp_path, text, expected):
     assert str(err.value) == f"{p}:{expected}"
 
 
+# Correspondence errors found once the referenced files are loaded point at the
+# end of the entry's correspond line, the first bad line in file order.
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ("correspond Nope -> { Nm } disjunctive\n", "4:38: correspondence names unknown semantic category 'Nope'"),
+        (
+            "correspond NPbar -> { NPp } conjunctive\ncorrespond Nope -> { Nm } disjunctive   # comment\n",
+            "5:38: correspondence names unknown semantic category 'Nope'",
+        ),
+        (
+            "correspond Nbar -> { Nm Nf } disjunctive\ncorrespond Nbar -> { Zz } disjunctive\n",
+            "5:38: duplicate correspondence for semantic category 'Nbar'",
+        ),
+        # the first undeclared category as written, not in sorted order
+        (
+            "correspond Nbar -> { Nm Zz Aa } disjunctive\n",
+            "4:44: correspondence for 'Nbar' names 'Zz', which grammar 'fr-np' does not declare",
+        ),
+        (
+            "correspond NPbar -> { NPp Zz } conjunctive\ncorrespond DETbar -> { Aa } conjunctive\n",
+            "4:43: correspondence for 'NPbar' names 'Zz', which grammar 'fr-np' does not declare",
+        ),
+    ],
+)
+def test_pair_file_correspondence_error_messages(tmp_path, lines, expected):
+    for name in ("np-sem.cg", "en-np.cg", "fr-np.cg"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    p = tmp_path / "p.cgp"
+    p.write_text("semantics np-sem.cg\nsource en-np.cg\ntarget fr-np.cg\n" + lines)
+    with pytest.raises(GrammarFormatError) as err:
+        load_pair(p)
+    assert str(err.value) == f"{p}:{expected}"
+
+
 FRAGMENTS = [
     "semantics", "grammar", "uses", "semcat", "syncat", "meaning", "mrule", "basic", "rule", "s",
     "X", "V", "x", "F", ":", "(", ")", "->", "=", "=>", "$1", "$0", '"v"', '"', ",", "#", " ", "\t",

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,34 @@ def _examples() -> list[tuple]:
 RECORDS = _examples()
 
 
+# the package's public names, each listed once, in its module's __all__
+PUBLIC_NAMES = [
+    "AmbiguityCapError", "BasicExpression", "BasicMeaning", "CONJUNCTIVE", "CategoryCorrespondence",
+    "CompletenessReport", "CompositionalGrammar", "ComptransError", "CorrespondenceEntry",
+    "CorrespondenceError", "DEFAULT_AMBIGUITY_CAP", "DISJUNCTIVE", "FileContents", "GrammarFormatError",
+    "GrammarPair", "GrammarValidationError", "IllFormedTreeError", "LoadedPair", "ResourceLimitError",
+    "SemLeaf", "SemNode", "SemRule", "SemTree", "SemanticComponent", "SemanticsMismatchError", "SynLeaf",
+    "SynNode", "SynTree", "SyntacticRule", "TranslationTrace", "TupleCapError", "UnknownNameError",
+    "Violation", "check_homomorphism", "check_n1_completeness", "check_nn_completeness",
+    "enumerate_sem_trees", "enumerate_syn_trees", "find_incompleteness_witness", "format_tree",
+    "infer_n1_map", "is_cfg_well_formed", "is_sem_well_typed", "is_well_formed_sem_tree", "load_grammar",
+    "load_grammar_file", "load_pair", "morsynan", "morsyngen", "n1_correspondence", "parse_file",
+    "parse_sem_tree", "parse_syn_tree", "random_sem_tree", "sem_cat", "sem_tree_from_json", "seman",
+    "semgen", "syn_cat", "syn_tree_from_json", "translate", "translate_sem", "tree_depth", "tree_key",
+    "tree_to_json", "validate_grammar", "validate_labels", "validate_pair", "validate_semantics",
+    "well_formed_sem_trees", "witness_report",
+]
+
+
+def test_the_package_publishes_each_module_all_and_nothing_else():
+    assert sorted(comptrans.__all__) == PUBLIC_NAMES
+    public = {n for n, x in vars(comptrans).items() if not n.startswith("_") and not isinstance(x, types.ModuleType)}
+    assert public == set(comptrans.__all__)
+    modules = ("completeness", "errors", "loader", "model", "parsing", "pipeline", "trees")
+    listed = [name for m in modules for name in getattr(comptrans, m).__all__]
+    assert sorted(listed) == PUBLIC_NAMES  # so no name is in two modules' __all__
+
+
 def test_every_public_record_is_covered():
     public = {x for x in map(comptrans.__dict__.get, comptrans.__all__) if isinstance(x, type) and issubclass(x, tuple)}
     assert public == {type(r) for r in RECORDS}
@@ -64,9 +93,10 @@ def test_records_are_tuples(record):
     first, *rest = record
     assert (first, *rest) == values
 
-    changed = record._replace(**{fields[-1]: "changed"})
+    # a one-tuple, already in order, is kept as it is by records that sort a field
+    changed = record._replace(**{fields[-1]: ("changed",)})
     assert type(changed) is type(record)
-    assert changed == (*values[:-1], "changed")
+    assert changed == (*values[:-1], ("changed",))
     assert record == values
 
     with pytest.raises(AttributeError):

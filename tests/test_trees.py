@@ -205,6 +205,17 @@ def test_json_round_trip(paper_grammar):
         ({"rule": ["F"]}, "tree JSON 'rule' must be a string, got list"),
         ({"rule": "F", "children": None}, "tree JSON 'children' must be a list, got NoneType"),
         ({"rule": "F", "children": [{"meaning": None}]}, "tree JSON 'meaning' must be a string, got NoneType"),
+        # a leaf has no rule and no children, so neither is dropped unread
+        (
+            {"meaning": "x", "children": [{"meaning": "y"}]},
+            "tree JSON with a 'meaning' key is a leaf and has no 'rule' or 'children': "
+            "{'meaning': 'x', 'children': [{'meaning': 'y'}]}",
+        ),
+        (
+            {"meaning": "x", "rule": "R", "children": [{"meaning": "y"}]},
+            "tree JSON with a 'meaning' key is a leaf and has no 'rule' or 'children': "
+            "{'meaning': 'x', 'rule': 'R', 'children': [{'meaning': 'y'}]}",
+        ),
     ],
 )
 def test_json_reader_rejects_names_and_children_of_the_wrong_type(obj, message):
